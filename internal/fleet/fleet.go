@@ -241,16 +241,6 @@ func FromCharacterization(ch *core.Characterization, cfg Config) (*Store, error)
 	return New(models, ch.Dataset.Norm, cfg)
 }
 
-// FromMixed builds a store directly from a class-partitioned pipeline
-// run: per-class model sets and per-class normalizers.
-func FromMixed(mc *core.MixedCharacterization, cfg Config) (*Store, error) {
-	models, norms, err := monitor.ModelsFromMixed(mc)
-	if err != nil {
-		return nil, err
-	}
-	return NewMulti(models, norms, cfg)
-}
-
 // fnv1a is the 64-bit FNV-1a hash of the serial, the shard-selection
 // function.
 func fnv1a(s string) uint64 {

@@ -377,22 +377,17 @@ func (m *Monitor) Ingest(driveID int, rec smart.Record) *Alert {
 	return a
 }
 
-// IngestKept scores one record like Ingest and additionally reports
-// whether the record was kept — it entered (or, for a repeated hour,
-// replaced the tail of) the smoothing window — as opposed to being
-// quarantined or dropped. Callers that retain raw telemetry for
-// retraining use the kept flag to mirror exactly the records that
-// shaped monitor state.
-func (m *Monitor) IngestKept(driveID int, rec smart.Record) (*Alert, bool) {
-	return m.IngestClass(driveID, smart.HDD, rec)
-}
-
-// IngestClass is IngestKept with an explicit device class: the record is
-// normalized with its class's normalizer and scored only against models
-// of that class. Records of a class the monitor has no models for, and
-// records that contradict the class a drive first reported with, are
-// quarantined (a serial cannot change hardware mid-stream; one of the
-// two reports is corrupt).
+// IngestClass scores one record of the given device class like Ingest
+// and additionally reports whether the record was kept — it entered (or,
+// for a repeated hour, replaced the tail of) the smoothing window — as
+// opposed to being quarantined or dropped. Callers that retain raw
+// telemetry for retraining use the kept flag to mirror exactly the
+// records that shaped monitor state. The record is normalized with its
+// class's normalizer and scored only against models of that class.
+// Records of a class the monitor has no models for, and records that
+// contradict the class a drive first reported with, are quarantined (a
+// serial cannot change hardware mid-stream; one of the two reports is
+// corrupt).
 func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Record) (*Alert, bool) {
 	if !class.Valid() || m.classModels[class] == 0 {
 		m.note(driveID, quality.Issue{

@@ -48,7 +48,11 @@ func FuzzRestore(f *testing.F) {
 	f.Add(snapBytes, walBytes)
 	f.Add(snapBytes[:len(snapBytes)/2], walBytes[:len(walBytes)-3]) // torn both
 	f.Add([]byte{}, []byte{})
+	// A previous-format WAL holding records: Open refuses it.
 	f.Add(snapBytes, []byte("DSKWAL\x00\x01garbage-after-magic"))
+	// A current-format header at the snapshot's epoch, then a garbage
+	// record: replay reaches the record decoder.
+	f.Add(snapBytes, append(walBytes[:walHeaderSize:walHeaderSize], "garbage-after-header"...))
 
 	f.Fuzz(func(t *testing.T, snap, wal []byte) {
 		dir := t.TempDir()

@@ -1,12 +1,7 @@
 package persist
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -39,24 +34,21 @@ type ModelArtifact struct {
 	Notes []string
 }
 
-// Model artifact file layout (all integers little endian) — the same
-// framing discipline as snapshots under a distinct magic:
-//
-//	8-byte magic "DSKMODL\x01"
-//	u32 version (currently 1)
-//	u64 model-set version
-//	u64 payload length
-//	payload — gob-encoded *ModelArtifact
-//	u32 CRC-32 (IEEE) over version..payload
-//
-// Artifacts are written tmp+fsync+rename like snapshots: a crash
-// mid-write never corrupts the previous artifact.
-var modelMagic = [8]byte{'D', 'S', 'K', 'M', 'O', 'D', 'L', 0x01}
+// modelEnvelope seals models.bin: magic "DSKMODL\x01", u32 version 1,
+// one header field — the model-set version, checked against the
+// payload's on load — and the gob-encoded *ModelArtifact. Artifacts are
+// committed like snapshots: a crash mid-write never corrupts the
+// previous artifact.
+var modelEnvelope = envelope{
+	name:    "model artifact",
+	magic:   [8]byte{'D', 'S', 'K', 'M', 'O', 'D', 'L', 0x01},
+	version: 1,
+	fields:  1,
+}
 
 const (
-	modelFileVersion = 1
-	modelsName       = "models.bin"
-	modelsTmp        = "models.tmp"
+	modelsName = "models.bin"
+	modelsTmp  = "models.tmp"
 )
 
 // ModelsPath returns the artifact path inside a state directory.
@@ -68,115 +60,31 @@ func SaveModels(dir string, art *ModelArtifact) (int64, error) {
 	if art == nil {
 		return 0, fmt.Errorf("persist: saving nil model artifact")
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(art); err != nil {
-		return 0, fmt.Errorf("persist: encoding model artifact: %w", err)
+	data, err := modelEnvelope.seal(art, uint64(art.Version))
+	if err != nil {
+		return 0, err
 	}
-
-	var buf bytes.Buffer
-	buf.Grow(payload.Len() + 32)
-	buf.Write(modelMagic[:])
-	var fixed [20]byte
-	binary.LittleEndian.PutUint32(fixed[0:4], modelFileVersion)
-	binary.LittleEndian.PutUint64(fixed[4:12], uint64(art.Version))
-	binary.LittleEndian.PutUint64(fixed[12:20], uint64(payload.Len()))
-	buf.Write(fixed[:])
-	buf.Write(payload.Bytes())
-	sum := crc32.ChecksumIEEE(buf.Bytes()[len(modelMagic):])
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	buf.Write(tail[:])
-
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("persist: creating state dir: %w", err)
 	}
-	tmp := filepath.Join(dir, modelsTmp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("persist: creating models.tmp: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: writing model artifact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: syncing model artifact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: closing model artifact: %w", err)
-	}
-	if err := os.Rename(tmp, ModelsPath(dir)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: committing model artifact: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
+	if err := commitFile(dir, modelsTmp, modelsName, data); err != nil {
 		return 0, err
 	}
-	return int64(buf.Len()), nil
+	return int64(len(data)), nil
 }
 
 // LoadModels reads, checksums and decodes the committed model artifact
 // of a state directory. os.IsNotExist on the error distinguishes "no
 // artifact yet" from corruption.
 func LoadModels(dir string) (*ModelArtifact, error) {
-	path := ModelsPath(dir)
-	f, err := os.Open(path)
+	art := &ModelArtifact{}
+	fields, err := modelEnvelope.openFile(ModelsPath(dir), art)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("persist: stat model artifact: %w", err)
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("persist: reading model artifact magic: %w", err)
-	}
-	if magic != modelMagic {
-		return nil, fmt.Errorf("persist: bad model artifact magic")
-	}
-	var fixed [20]byte
-	if _, err := io.ReadFull(f, fixed[:]); err != nil {
-		return nil, fmt.Errorf("persist: reading model artifact header: %w", err)
-	}
-	fileVer := binary.LittleEndian.Uint32(fixed[0:4])
-	payloadLen := binary.LittleEndian.Uint64(fixed[12:20])
-	if fileVer != modelFileVersion {
-		return nil, fmt.Errorf("persist: model artifact version %d not supported (want %d)", fileVer, modelFileVersion)
-	}
-	if payloadLen > maxSnapshotPayload {
-		return nil, fmt.Errorf("persist: model artifact payload length %d exceeds cap", payloadLen)
-	}
-	wantSize := int64(len(modelMagic)) + 20 + int64(payloadLen) + 4
-	if fi.Size() != wantSize {
-		return nil, fmt.Errorf("persist: model artifact is %d bytes, header implies %d", fi.Size(), wantSize)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, fmt.Errorf("persist: reading model artifact payload: %w", err)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(f, tail[:]); err != nil {
-		return nil, fmt.Errorf("persist: reading model artifact checksum: %w", err)
-	}
-	sum := crc32.NewIEEE()
-	sum.Write(fixed[:])
-	sum.Write(payload)
-	if sum.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
-		return nil, fmt.Errorf("persist: model artifact checksum mismatch")
-	}
-	art := &ModelArtifact{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(art); err != nil {
-		return nil, fmt.Errorf("persist: decoding model artifact: %w", err)
-	}
-	if art.Version <= 0 || int64(art.Version) != int64(binary.LittleEndian.Uint64(fixed[4:12])) {
+	if art.Version <= 0 || uint64(art.Version) != fields[0] {
 		return nil, fmt.Errorf("persist: model artifact header version %d disagrees with payload version %d",
-			binary.LittleEndian.Uint64(fixed[4:12]), art.Version)
+			fields[0], art.Version)
 	}
 	return art, nil
 }

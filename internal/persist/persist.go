@@ -171,6 +171,8 @@ func (r *Recovery) String() string {
 // Open attaches a manager to a state directory, creating it (and an
 // empty epoch-0 WAL) if needed. A stale snapshot.tmp from a crashed
 // snapshot attempt is removed; the committed snapshot is never touched.
+// A WAL holding records in another format version is refused with
+// ErrWALVersion and left as it is.
 func Open(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating state dir: %w", err)
@@ -184,7 +186,16 @@ func Open(dir string) (*Manager, error) {
 	// WAL's epoch if it is readable, else start the epoch after the
 	// snapshot's (or zero on a truly cold start).
 	walPath := filepath.Join(dir, walName)
-	if epoch, err := readWALEpoch(walPath); err == nil {
+	epoch, err := readWALEpoch(walPath)
+	if errors.Is(err, ErrWALVersion) {
+		// Only a header-only WAL of another version — what a final
+		// snapshot under the build that wrote it leaves — is safe to
+		// reset: any record in it is an acknowledged batch.
+		if fi, serr := os.Stat(walPath); serr != nil || fi.Size() > walHeaderSize {
+			return nil, err
+		}
+	}
+	if err == nil {
 		f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("persist: opening WAL: %w", err)
@@ -199,10 +210,9 @@ func Open(dir string) (*Manager, error) {
 		m.walEnd = fi.Size()
 		return m, nil
 	}
-	epoch := uint64(0)
-	if hdr, err := readSnapshotHeader(filepath.Join(dir, snapshotName)); err == nil {
-		epoch = hdr.walEpoch
-	}
+	// An unreadable snapshot header reads as epoch 0: Restore reports
+	// the snapshot's defect itself.
+	epoch, _ = readSnapshotEpoch(filepath.Join(dir, snapshotName))
 	if err := m.resetWALLocked(epoch); err != nil {
 		return nil, err
 	}
@@ -223,14 +233,16 @@ func (m *Manager) HasSnapshot() bool {
 // mutation) runs, all under the shared side of the snapshot gate. If
 // the WAL append fails the batch is NOT applied — the caller must
 // surface the error instead of acknowledging an ingest that would not
-// survive a restart. The returned Position is the WAL stream position
+// survive a restart. A batch the WAL record cannot carry (an empty or
+// over-long serial, an hour outside int32, an invalid device class) is
+// rejected the same way. The returned Position is the WAL stream position
 // just past this batch's frame: replication callers wait for the
 // follower's high-water mark to reach it before acknowledging.
 func (m *Manager) LogBatch(obs []fleet.Observation, apply func() fleet.BatchResult) (fleet.BatchResult, Position, error) {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
 
-	frame, err := encodeWALRecord(obs)
+	frame, err := encodeRecord(obs)
 	if err != nil {
 		return fleet.BatchResult{}, Position{}, err
 	}
@@ -344,8 +356,7 @@ func (m *Manager) Restore(cfg fleet.Config) (*fleet.Store, *Recovery, error) {
 	m.gate.Lock()
 	defer m.gate.Unlock()
 
-	snapPath := filepath.Join(m.dir, snapshotName)
-	st, hdr, err := readSnapshot(snapPath)
+	st, snapEpoch, err := readSnapshot(m.dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil, ErrNoSnapshot
@@ -356,7 +367,7 @@ func (m *Manager) Restore(cfg fleet.Config) (*fleet.Store, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := &Recovery{SnapshotDrives: len(st.Drives), SnapshotEpoch: hdr.walEpoch}
+	rec := &Recovery{SnapshotDrives: len(st.Drives), SnapshotEpoch: snapEpoch}
 
 	walPath := filepath.Join(m.dir, walName)
 	m.walMu.Lock()
@@ -365,14 +376,14 @@ func (m *Manager) Restore(cfg fleet.Config) (*fleet.Store, *Recovery, error) {
 		m.wal.Close()
 		m.wal = nil
 	}
-	replayEnd, err := m.replayWAL(walPath, hdr.walEpoch, store, rec)
+	replayEnd, err := m.replayWAL(walPath, snapEpoch, store, rec)
 	if err != nil {
 		return nil, nil, err
 	}
 	if rec.StaleWAL || replayEnd < 0 {
 		// Pre-snapshot WAL (or unreadable header): discard and restart
 		// at the snapshot's epoch.
-		if err := m.resetWALLocked(hdr.walEpoch); err != nil {
+		if err := m.resetWALLocked(snapEpoch); err != nil {
 			return nil, nil, err
 		}
 		return store, rec, nil
@@ -387,7 +398,7 @@ func (m *Manager) Restore(cfg fleet.Config) (*fleet.Store, *Recovery, error) {
 		return nil, nil, fmt.Errorf("persist: reopening WAL: %w", err)
 	}
 	m.wal = f
-	m.epoch = hdr.walEpoch
+	m.epoch = snapEpoch
 	m.walEnd = replayEnd
 	return store, rec, nil
 }

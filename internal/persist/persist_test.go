@@ -332,7 +332,7 @@ func TestRestoreDiscardsStaleWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := encodeWALRecord(obs)
+	frame, err := encodeRecord(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,93 +444,6 @@ func TestOpenContinuesEpochAcrossRestart(t *testing.T) {
 	defer m2.Close()
 	if got := m2.Stats().Epoch; got != 3 {
 		t.Fatalf("epoch after reopen = %d, want 3", got)
-	}
-}
-
-func TestWALRecordRoundTrip(t *testing.T) {
-	obs := []fleet.Observation{
-		{Serial: "", Record: record(0, 0)},
-		{Serial: "SN-1", Record: record(-12345, 0.5)},
-		{Serial: "unicode-序列", Record: record(math.MaxInt, -1)},
-	}
-	obs[1].Record.Values[0] = math.Inf(1)
-	obs[2].Record.Values[3] = math.NaN()
-	frame, err := encodeWALRecord(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeWALRecord(frame[8:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(obs) {
-		t.Fatalf("decoded %d observations, want %d", len(got), len(obs))
-	}
-	for i := range obs {
-		if got[i].Serial != obs[i].Serial || got[i].Record.Hour != obs[i].Record.Hour {
-			t.Fatalf("observation %d differs: %+v vs %+v", i, got[i], obs[i])
-		}
-		for a := range obs[i].Record.Values {
-			w, g := obs[i].Record.Values[a], got[i].Record.Values[a]
-			if math.Float64bits(w) != math.Float64bits(g) {
-				t.Fatalf("observation %d attr %d: %v vs %v (bits differ)", i, a, g, w)
-			}
-		}
-	}
-}
-
-// TestWALRecordClassTail pins the mixed-fleet WAL shape: an all-HDD
-// record encodes byte-identically to the pre-class format (no tail), a
-// mixed record round-trips every class through its tail, and a tail
-// naming an unknown class fails decode.
-func TestWALRecordClassTail(t *testing.T) {
-	hdd := []fleet.Observation{
-		{Serial: "SN-1", Record: record(1, 0.5)},
-		{Serial: "SN-2", Record: record(2, -0.5)},
-	}
-	frame, err := encodeWALRecord(hdd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No class tail: 8-byte frame header + count varint + per-obs bytes.
-	per := 1 + 4 + 1 + 8*int(smart.NumAttrs) // slen varint + serial + hour varint + values
-	if want := 8 + 1 + len(hdd)*per; len(frame) != want {
-		t.Fatalf("all-HDD record is %d bytes, want %d (class tail must be absent)", len(frame), want)
-	}
-
-	mixed := []fleet.Observation{
-		{Serial: "SN-1", Record: record(1, 0.5)},
-		{Serial: "SSD-1", Class: smart.SSD, Record: record(2, -0.5)},
-		{Serial: "SN-3", Record: record(3, 0)},
-	}
-	frame, err = encodeWALRecord(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeWALRecord(frame[8:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(mixed) {
-		t.Fatalf("decoded %d observations, want %d", len(got), len(mixed))
-	}
-	for i := range mixed {
-		if got[i].Class != mixed[i].Class || got[i].Serial != mixed[i].Serial {
-			t.Fatalf("observation %d: class %v serial %q, want %v %q",
-				i, got[i].Class, got[i].Serial, mixed[i].Class, mixed[i].Serial)
-		}
-	}
-
-	// An unknown class in the tail is corruption, not a new device type.
-	bad := append([]byte(nil), frame[8:]...)
-	bad[len(bad)-2] = 0x7f
-	if _, err := decodeWALRecord(bad); err == nil {
-		t.Fatal("decode accepted an unknown device class in the tail")
-	}
-
-	// An invalid class never encodes in the first place.
-	if _, err := encodeWALRecord([]fleet.Observation{{Serial: "x", Class: smart.DeviceClass(9)}}); err == nil {
-		t.Fatal("encode accepted an invalid device class")
 	}
 }
 

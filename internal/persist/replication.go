@@ -3,34 +3,37 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 
 	"disksig/internal/fleet"
+	"disksig/internal/wire"
 )
 
-// Replication wire formats. The ship request carries raw WAL frames —
-// exactly the bytes the primary appended, CRC and all — prefixed with
-// the sender's leadership term and the frames' position in the
+// Replication wire formats. The ship request carries raw WAL records —
+// exactly the bytes the primary appended, checksum and all — prefixed
+// with the sender's leadership term and the records' position in the
 // primary's WAL, so the follower can both fence deposed senders and
-// dedup re-shipped frames against its high-water mark. The bootstrap
-// image is the full fleet state (the same gob payload a snapshot
-// holds) plus the WAL position the follower must stream from.
+// dedup re-shipped records against its high-water mark. The bootstrap
+// image seals the full fleet state (the payload a snapshot holds) with
+// the WAL position the follower must stream from.
 //
 //	ship request:    8-byte magic "DSKSHP\x00\x01" | u64 term |
-//	                 u64 walEpoch | u64 fromOffset | raw WAL frames
-//	bootstrap image: 8-byte magic "DSKBTS\x00\x01" | u64 term |
-//	                 u64 walEpoch | u64 walOffset | u64 payloadLen |
-//	                 gob(fleet.State) | u32 CRC-32 (IEEE) of
-//	                 term..payload
-var (
-	shipMagic = [8]byte{'D', 'S', 'K', 'S', 'H', 'P', 0x00, 0x01}
-	bootMagic = [8]byte{'D', 'S', 'K', 'B', 'T', 'S', 0x00, 0x01}
-)
+//	                 u64 walEpoch | u64 fromOffset | raw WAL records
+//	bootstrap image: sealed envelope, magic "DSKBTS\x00\x01", no
+//	                 version, header fields u64 term | u64 walEpoch |
+//	                 u64 walOffset, payload gob(fleet.State)
+var shipMagic = [8]byte{'D', 'S', 'K', 'S', 'H', 'P', 0x00, 0x01}
+
+// bootEnvelope seals bootstrap images.
+var bootEnvelope = envelope{
+	name:   "bootstrap image",
+	magic:  [8]byte{'D', 'S', 'K', 'B', 'T', 'S', 0x00, 0x01},
+	fields: 3,
+}
 
 const (
 	// ShipContentType labels a replication ship request body.
@@ -42,7 +45,6 @@ const (
 	MaxShipBody = maxWALRecord + (1 << 20)
 
 	shipHeaderSize = 8 + 8 + 8 + 8
-	bootHeaderSize = 8 + 8 + 8 + 8 + 8
 )
 
 // Position is a point in the primary's WAL stream: the WAL epoch and
@@ -104,93 +106,56 @@ func DecodeShipRequest(body []byte) (term uint64, from Position, frames []byte, 
 	return term, from, body[shipHeaderSize:], nil
 }
 
-// FrameIter walks raw WAL frame bytes (a ship request payload) frame by
-// frame, validating each frame's checksum and decoding its batch.
+// FrameIter walks raw WAL records (a ship request payload) record by
+// record, validating each frame's checksum and decoding its batch.
 type FrameIter struct {
 	data []byte
+	dec  *wire.Decoder
 }
 
-// NewFrameIter iterates the frames in data.
-func NewFrameIter(data []byte) *FrameIter { return &FrameIter{data: data} }
+// NewFrameIter iterates the records in data, decoding with dec. A
+// decoder reused across ship requests keeps its interned serials and
+// observation buffer, so a follower's steady-state decode allocates
+// nothing per record.
+func NewFrameIter(data []byte, dec *wire.Decoder) *FrameIter {
+	return &FrameIter{data: data, dec: dec}
+}
 
-// Next decodes the next frame, returning its observations and its
-// on-the-wire size. It returns io.EOF at a clean end and a descriptive
-// error at a torn or corrupt frame (the remaining bytes cannot be
-// trusted; the receiver should ask the sender to re-ship from its
-// high-water mark).
+// Next decodes the next record, returning its observations (valid until
+// the next call) and its on-the-wire size. It returns io.EOF at a clean
+// end and a descriptive error at a torn or corrupt record (the
+// remaining bytes cannot be trusted; the receiver should ask the sender
+// to re-ship from its high-water mark).
 func (it *FrameIter) Next() ([]fleet.Observation, int64, error) {
 	if len(it.data) == 0 {
 		return nil, 0, io.EOF
 	}
-	if len(it.data) < 8 {
-		return nil, 0, fmt.Errorf("persist: torn frame header (%d bytes)", len(it.data))
-	}
-	length := binary.LittleEndian.Uint32(it.data[:4])
-	sum := binary.LittleEndian.Uint32(it.data[4:8])
-	if length > maxWALRecord {
-		return nil, 0, fmt.Errorf("persist: frame length %d exceeds cap", length)
-	}
-	if uint32(len(it.data)-8) < length {
-		return nil, 0, fmt.Errorf("persist: torn frame payload (%d of %d bytes)", len(it.data)-8, length)
-	}
-	payload := it.data[8 : 8+length]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, fmt.Errorf("persist: frame checksum mismatch")
-	}
-	obs, err := decodeWALRecord(payload)
+	frame, size, err := splitRecord(it.data)
 	if err != nil {
 		return nil, 0, err
 	}
-	it.data = it.data[8+length:]
-	return obs, 8 + int64(length), nil
+	obs, err := decodeRecord(it.dec, frame)
+	if err != nil {
+		return nil, 0, err
+	}
+	it.data = it.data[size:]
+	return obs, int64(size), nil
 }
 
 // EncodeBootstrap serializes a bootstrap image: the full fleet state
 // plus the WAL position replication resumes from and the sender's term.
 func EncodeBootstrap(st *fleet.State, term uint64, pos Position) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return nil, fmt.Errorf("persist: encoding bootstrap image: %w", err)
-	}
-	buf := make([]byte, bootHeaderSize, bootHeaderSize+payload.Len()+4)
-	copy(buf[:8], bootMagic[:])
-	binary.LittleEndian.PutUint64(buf[8:16], term)
-	binary.LittleEndian.PutUint64(buf[16:24], pos.Epoch)
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(pos.Offset))
-	binary.LittleEndian.PutUint64(buf[32:40], uint64(payload.Len()))
-	buf = append(buf, payload.Bytes()...)
-	sum := crc32.ChecksumIEEE(buf[8:])
-	buf = binary.LittleEndian.AppendUint32(buf, sum)
-	return buf, nil
+	return bootEnvelope.seal(st, term, pos.Epoch, uint64(pos.Offset))
 }
 
 // DecodeBootstrap parses and checksums a bootstrap image.
 func DecodeBootstrap(body []byte) (*fleet.State, uint64, Position, error) {
-	if len(body) < bootHeaderSize+4 {
-		return nil, 0, Position{}, fmt.Errorf("persist: bootstrap image truncated at %d bytes", len(body))
-	}
-	if [8]byte(body[:8]) != bootMagic {
-		return nil, 0, Position{}, fmt.Errorf("persist: bad bootstrap image magic")
-	}
-	term := binary.LittleEndian.Uint64(body[8:16])
-	pos := Position{
-		Epoch:  binary.LittleEndian.Uint64(body[16:24]),
-		Offset: int64(binary.LittleEndian.Uint64(body[24:32])),
-	}
-	payloadLen := binary.LittleEndian.Uint64(body[32:40])
-	if payloadLen > maxSnapshotPayload || uint64(len(body)-bootHeaderSize-4) != payloadLen {
-		return nil, 0, Position{}, fmt.Errorf("persist: bootstrap payload length %d does not match body", payloadLen)
-	}
-	payload := body[bootHeaderSize : bootHeaderSize+payloadLen]
-	sum := binary.LittleEndian.Uint32(body[len(body)-4:])
-	if crc32.ChecksumIEEE(body[8:len(body)-4]) != sum {
-		return nil, 0, Position{}, fmt.Errorf("persist: bootstrap image checksum mismatch")
-	}
 	st := &fleet.State{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
-		return nil, 0, Position{}, fmt.Errorf("persist: decoding bootstrap image: %w", err)
+	f, err := bootEnvelope.open(bytes.NewReader(body), int64(len(body)), st)
+	if err != nil {
+		return nil, 0, Position{}, err
 	}
-	return st, term, pos, nil
+	return st, f[0], Position{Epoch: f[1], Offset: int64(f[2])}, nil
 }
 
 // Position returns the durable end of the live WAL: every frame at an
@@ -243,34 +208,34 @@ func (m *Manager) ReadWALFrames(epoch uint64, from int64, maxBytes int) ([]byte,
 	if _, err := io.ReadFull(io.NewSectionReader(f, from, size), buf); err != nil {
 		return nil, 0, fmt.Errorf("persist: reading WAL frames at %d: %w", from, err)
 	}
-	// Trim to whole frames; [from, end) holds only complete frames, so a
-	// partial frame at the end of buf is purely a chunking artifact.
+	// Trim to whole records; [from, end) holds only complete records, so
+	// a partial record at the end of buf is purely a chunking artifact.
 	n := 0
-	for n+8 <= len(buf) {
-		l := int(binary.LittleEndian.Uint32(buf[n:]))
-		if l > maxWALRecord {
-			return nil, 0, fmt.Errorf("persist: WAL frame at %d has length %d beyond cap", from+int64(n), l)
-		}
-		if n+8+l > len(buf) {
+	for {
+		_, size, err := splitRecord(buf[n:])
+		if errors.Is(err, errTornRecord) {
 			break
 		}
-		n += 8 + l
+		if err != nil {
+			return nil, 0, fmt.Errorf("persist: WAL record at %d: %w", from+int64(n), err)
+		}
+		n += size
 	}
 	if n == 0 {
-		// The first frame alone exceeds maxBytes (which may be smaller
-		// than even the frame header): ship it whole anyway, progress
+		// The first record alone exceeds maxBytes (which may be smaller
+		// than even its length prefix): ship it whole anyway, progress
 		// beats the chunk target.
-		var hdr [8]byte
-		if _, err := io.ReadFull(io.NewSectionReader(f, from, 8), hdr[:]); err != nil {
-			return nil, 0, fmt.Errorf("persist: reading WAL frame header at %d: %w", from, err)
+		var prefix [recordPrefix]byte
+		if _, err := io.ReadFull(io.NewSectionReader(f, from, recordPrefix), prefix[:]); err != nil {
+			return nil, 0, fmt.Errorf("persist: reading WAL record length at %d: %w", from, err)
 		}
-		l := int(binary.LittleEndian.Uint32(hdr[:4]))
-		if l > maxWALRecord {
-			return nil, 0, fmt.Errorf("persist: WAL frame at %d has length %d beyond cap", from, l)
+		l, err := frameLen(prefix[:])
+		if err != nil {
+			return nil, 0, fmt.Errorf("persist: WAL record at %d: %w", from, err)
 		}
-		whole := make([]byte, 8+l)
+		whole := make([]byte, recordPrefix+l)
 		if _, err := io.ReadFull(io.NewSectionReader(f, from, int64(len(whole))), whole); err != nil {
-			return nil, 0, fmt.Errorf("persist: reading oversized WAL frame at %d: %w", from, err)
+			return nil, 0, fmt.Errorf("persist: reading oversized WAL record at %d: %w", from, err)
 		}
 		return whole, from + int64(len(whole)), nil
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"disksig/internal/fleet"
+	"disksig/internal/wire"
 )
 
 func TestPositionOrdering(t *testing.T) {
@@ -162,7 +163,7 @@ func TestReadWALFramesChunksOnFrameBoundaries(t *testing.T) {
 	}
 
 	// Every frame decodes and the decoded rows cover the whole workload.
-	it := NewFrameIter(full)
+	it := NewFrameIter(full, new(wire.Decoder))
 	decoded := 0
 	for {
 		obs, _, err := it.Next()
@@ -238,7 +239,7 @@ func (f *fakeFollower) serve(w http.ResponseWriter, r *http.Request) {
 		f.hb++
 	}
 	pos := from.Offset
-	it := NewFrameIter(frames)
+	it := NewFrameIter(frames, new(wire.Decoder))
 	for {
 		obs, size, err := it.Next()
 		if err == io.EOF {

@@ -5,54 +5,48 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 
 	"disksig/internal/fleet"
-	"disksig/internal/smart"
+	"disksig/internal/quality"
+	"disksig/internal/wire"
 )
 
 // WAL file layout:
 //
-//	header:  8-byte magic "DSKWAL\x00\x01" | u64 epoch (little endian)
-//	records: u32 payload length | u32 CRC-32 (IEEE) of payload | payload
+//	header:  8-byte magic "DSKWAL\x00\x02" | u64 epoch (little endian)
+//	records: u32 frame length (little endian) | wire frame
 //
-// Record payload:
-//
-//	uvarint observation count
-//	per observation:
-//	  uvarint serial length | serial bytes
-//	  zigzag varint hour
-//	  smart.NumAttrs x u64 float64 bits (little endian)
-//	class tail (only when any observation is non-HDD):
-//	  one u8 device class per observation, in observation order
-//
-// The class tail keeps mixed fleets replayable without touching the
-// record layout pre-class readers parse: an all-HDD record encodes
-// byte-identically to the old format, and the decoder distinguishes the
-// two shapes by the exact byte count left after the observations — zero
-// means all HDD, exactly count means a class tail, anything else is the
-// corruption it always was.
+// A record is the batch framed exactly as the binary ingest API frames
+// it (internal/wire): the frame's CRC-32C trailer is the record
+// checksum, and wire.Decoder is the only observation codec on the
+// durability and replication path. LogBatch never writes a frame that
+// decodes with a quarantined record, so one that does is corrupt.
 //
 // Appends are unbuffered single writes: a record is either fully in the
 // file or it is the torn tail the next restore quarantines. There is no
 // fsync per record — the WAL bounds data loss to the records written
 // after the last completed write-back, which is the usual trade for an
 // ingest path that must keep up with telemetry.
-var walMagic = [8]byte{'D', 'S', 'K', 'W', 'A', 'L', 0x00, 0x01}
+var walMagic = [8]byte{'D', 'S', 'K', 'W', 'A', 'L', 0x00, 0x02}
 
 const (
 	walHeaderSize = 16
-	// maxWALRecord caps one record's payload so a corrupt length field
+	// recordPrefix is the u32 frame length ahead of every record.
+	recordPrefix = 4
+	// maxWALRecord caps one record's frame so a corrupt length field
 	// cannot make the reader attempt a multi-gigabyte allocation.
 	maxWALRecord = 64 << 20
-	// maxSerialLen caps one serial so a corrupt record fails fast.
-	maxSerialLen = 4096
 )
+
+// ErrWALVersion reports a WAL written in another version of the format.
+// Open refuses one that holds records rather than truncating it: its
+// batches were acknowledged, and only the build that wrote it can
+// replay them.
+var ErrWALVersion = errors.New("persist: WAL format version not supported")
 
 // errWALEnd reports a clean end of WAL: the previous record ended
 // exactly at EOF.
@@ -108,6 +102,19 @@ func createWAL(path string, epoch uint64) (*os.File, error) {
 	return f, nil
 }
 
+// parseWALHeader validates a WAL header and returns its epoch.
+func parseWALHeader(hdr [walHeaderSize]byte) (uint64, error) {
+	switch {
+	case [8]byte(hdr[:8]) == walMagic:
+		return binary.LittleEndian.Uint64(hdr[8:]), nil
+	case string(hdr[:6]) == string(walMagic[:6]):
+		return 0, fmt.Errorf("%w: header %q, this build reads %q; restore and snapshot the directory with the build that wrote it",
+			ErrWALVersion, hdr[:8], walMagic[:])
+	default:
+		return 0, fmt.Errorf("persist: bad WAL magic")
+	}
+}
+
 // readWALEpoch reads and validates the WAL header, returning its epoch.
 func readWALEpoch(path string) (uint64, error) {
 	f, err := os.Open(path)
@@ -119,100 +126,65 @@ func readWALEpoch(path string) (uint64, error) {
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return 0, fmt.Errorf("persist: reading WAL header: %w", err)
 	}
-	if [8]byte(hdr[:8]) != walMagic {
-		return 0, fmt.Errorf("persist: bad WAL magic")
-	}
-	return binary.LittleEndian.Uint64(hdr[8:]), nil
+	return parseWALHeader(hdr)
 }
 
-// encodeWALRecord frames one batch of observations as a WAL record.
-func encodeWALRecord(obs []fleet.Observation) ([]byte, error) {
-	payload := make([]byte, 0, 64+len(obs)*(17+8*int(smart.NumAttrs)))
-	payload = binary.AppendUvarint(payload, uint64(len(obs)))
-	mixed := false
-	for _, o := range obs {
-		if len(o.Serial) > maxSerialLen {
-			return nil, fmt.Errorf("persist: serial %q exceeds %d bytes", o.Serial[:32]+"...", maxSerialLen)
-		}
-		if !o.Class.Valid() {
-			return nil, fmt.Errorf("persist: observation %q has invalid device class %d", o.Serial, o.Class)
-		}
-		if o.Class != smart.HDD {
-			mixed = true
-		}
-		payload = binary.AppendUvarint(payload, uint64(len(o.Serial)))
-		payload = append(payload, o.Serial...)
-		payload = binary.AppendVarint(payload, int64(o.Record.Hour))
-		for a := 0; a < int(smart.NumAttrs); a++ {
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(o.Record.Values[a]))
-		}
+// encodeRecord frames one batch as a WAL record. The wire encoder
+// rejects what the frame cannot carry: an empty or over-long serial, an
+// hour outside int32, an invalid device class.
+func encodeRecord(obs []fleet.Observation) ([]byte, error) {
+	rec, err := wire.AppendBatch(make([]byte, recordPrefix, recordPrefix+wire.EncodedSize(obs)), obs)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
 	}
-	if mixed {
-		for _, o := range obs {
-			payload = append(payload, byte(o.Class))
-		}
-	}
-	if len(payload) > maxWALRecord {
+	n := len(rec) - recordPrefix
+	if n > maxWALRecord {
 		return nil, fmt.Errorf("persist: batch of %d observations exceeds the %d-byte record cap", len(obs), maxWALRecord)
 	}
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return append(frame, payload...), nil
+	binary.LittleEndian.PutUint32(rec, uint32(n))
+	return rec, nil
 }
 
-// decodeWALRecord parses one record payload back into observations.
-func decodeWALRecord(payload []byte) ([]fleet.Observation, error) {
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return nil, fmt.Errorf("persist: WAL record: bad observation count")
+// frameLen parses a record's length prefix: the one place a WAL record
+// is delimited, for restore, the follower and the shipper's chunker.
+func frameLen(prefix []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(prefix)
+	if n > maxWALRecord {
+		return 0, fmt.Errorf("persist: record length %d exceeds cap", n)
 	}
-	payload = payload[n:]
-	// Each observation needs at least 1 (serial len) + 1 (hour) +
-	// 8*NumAttrs bytes; reject counts the payload cannot hold.
-	minPer := 2 + 8*int(smart.NumAttrs)
-	if count > uint64(len(payload)/minPer) {
-		return nil, fmt.Errorf("persist: WAL record: count %d exceeds payload size", count)
+	return int(n), nil
+}
+
+// errTornRecord reports a record cut short by the end of the buffer.
+var errTornRecord = errors.New("persist: torn record")
+
+// splitRecord delimits the first record of b, returning its frame and
+// its total size including the length prefix.
+func splitRecord(b []byte) ([]byte, int, error) {
+	if len(b) < recordPrefix {
+		return nil, 0, fmt.Errorf("%w: %d-byte length prefix", errTornRecord, len(b))
 	}
-	obs := make([]fleet.Observation, 0, count)
-	for i := uint64(0); i < count; i++ {
-		slen, n := binary.Uvarint(payload)
-		if n <= 0 || slen > maxSerialLen || uint64(len(payload)-n) < slen {
-			return nil, fmt.Errorf("persist: WAL record: bad serial length in observation %d", i)
-		}
-		payload = payload[n:]
-		serial := string(payload[:slen])
-		payload = payload[slen:]
-		hour, n := binary.Varint(payload)
-		if n <= 0 {
-			return nil, fmt.Errorf("persist: WAL record: bad hour in observation %d", i)
-		}
-		payload = payload[n:]
-		if len(payload) < 8*int(smart.NumAttrs) {
-			return nil, fmt.Errorf("persist: WAL record: truncated values in observation %d", i)
-		}
-		var o fleet.Observation
-		o.Serial = serial
-		o.Record.Hour = int(hour)
-		for a := 0; a < int(smart.NumAttrs); a++ {
-			o.Record.Values[a] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*a:]))
-		}
-		payload = payload[8*int(smart.NumAttrs):]
-		obs = append(obs, o)
+	n, err := frameLen(b)
+	if err != nil {
+		return nil, 0, err
 	}
-	switch {
-	case len(payload) == 0:
-		// No class tail: every observation is HDD (the zero value).
-	case uint64(len(payload)) == count:
-		for i := range obs {
-			c := smart.DeviceClass(payload[i])
-			if !c.Valid() {
-				return nil, fmt.Errorf("persist: WAL record: observation %d names device class %d", i, payload[i])
-			}
-			obs[i].Class = c
-		}
-	default:
-		return nil, fmt.Errorf("persist: WAL record: %d trailing bytes", len(payload))
+	if len(b)-recordPrefix < n {
+		return nil, 0, fmt.Errorf("%w: %d of %d frame bytes", errTornRecord, len(b)-recordPrefix, n)
+	}
+	return b[recordPrefix : recordPrefix+n], recordPrefix + n, nil
+}
+
+// decodeRecord decodes one record's frame. A frame that decodes with a
+// quarantined record is corrupt — LogBatch never writes one — so the
+// caller treats it like a checksum failure.
+func decodeRecord(dec *wire.Decoder, frame []byte) ([]fleet.Observation, error) {
+	var rep quality.Report
+	obs, err := dec.Decode(frame, &rep)
+	if err != nil {
+		return nil, fmt.Errorf("persist: record: %w", err)
+	}
+	if rep.RowsQuarantined > 0 {
+		return nil, fmt.Errorf("persist: record decodes with %d quarantined observations", rep.RowsQuarantined)
 	}
 	return obs, nil
 }
@@ -223,6 +195,7 @@ func decodeWALRecord(payload []byte) ([]fleet.Observation, error) {
 type walReader struct {
 	f      *os.File
 	br     *bufio.Reader
+	dec    wire.Decoder
 	epoch  uint64
 	size   int64
 	offset int64 // end of the last good record (starts after the header)
@@ -244,14 +217,15 @@ func openWALReader(path string) (*walReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("persist: reading WAL header: %w", err)
 	}
-	if [8]byte(hdr[:8]) != walMagic {
+	epoch, err := parseWALHeader(hdr)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("persist: bad WAL magic")
+		return nil, err
 	}
 	return &walReader{
 		f:      f,
 		br:     bufio.NewReaderSize(f, 1<<20),
-		epoch:  binary.LittleEndian.Uint64(hdr[8:]),
+		epoch:  epoch,
 		size:   fi.Size(),
 		offset: walHeaderSize,
 	}, nil
@@ -267,32 +241,29 @@ func (r *walReader) Offset() int64 { return r.offset }
 func (r *walReader) Remaining() int64 { return r.size - r.offset }
 
 // Next returns the next record's observations, errWALEnd at a clean end
-// of file, or a decode error at a torn/corrupt record.
+// of file, or a decode error at a torn/corrupt record. The observations
+// are valid until the next call.
 func (r *walReader) Next() ([]fleet.Observation, error) {
-	var frame [8]byte
-	if _, err := io.ReadFull(r.br, frame[:]); err != nil {
+	var prefix [recordPrefix]byte
+	if _, err := io.ReadFull(r.br, prefix[:]); err != nil {
 		if err == io.EOF {
 			return nil, errWALEnd
 		}
-		return nil, fmt.Errorf("persist: torn record frame: %w", err)
+		return nil, fmt.Errorf("persist: torn record length: %w", err)
 	}
-	length := binary.LittleEndian.Uint32(frame[:4])
-	sum := binary.LittleEndian.Uint32(frame[4:8])
-	if length > maxWALRecord {
-		return nil, fmt.Errorf("persist: record length %d exceeds cap", length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		return nil, fmt.Errorf("persist: torn record payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("persist: record checksum mismatch")
-	}
-	obs, err := decodeWALRecord(payload)
+	n, err := frameLen(prefix[:])
 	if err != nil {
 		return nil, err
 	}
-	r.offset += 8 + int64(length)
+	frame := make([]byte, n)
+	if _, err := io.ReadFull(r.br, frame); err != nil {
+		return nil, fmt.Errorf("persist: torn record frame: %w", err)
+	}
+	obs, err := decodeRecord(&r.dec, frame)
+	if err != nil {
+		return nil, err
+	}
+	r.offset += recordPrefix + int64(n)
 	return obs, nil
 }
 

@@ -195,6 +195,40 @@ func TestIngestRejectsInfinityOnTheWire(t *testing.T) {
 	}
 }
 
+// TestIngestJSONHourOutsideInt32 sends a JSON record whose hour the WAL
+// record cannot carry: it is quarantined alone, and the rest of the
+// batch is logged and kept.
+func TestIngestJSONHourOutsideInt32(t *testing.T) {
+	mgr, err := persist.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	srv := New(persistStore(t, fleet.Config{Shards: 2}), Config{Persist: mgr})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := ingestBody(t, [3]any{"SER-1", 0, 0.9}, [3]any{"FAR-1", 1 << 31, 0.9}, [3]any{"SER-2", 0, 0.8})
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (per-record quarantine, not batch failure)", resp.StatusCode)
+	}
+	doc := decodeJSON(t, resp.Body)
+	if doc["kept"].(float64) != 2 || doc["quarantined"].(float64) != 1 {
+		t.Fatalf("kept/quarantined = %v/%v, want 2/1", doc["kept"], doc["quarantined"])
+	}
+	if got := doc["quality"].(map[string]any)["by_kind"].(map[string]any)["bad-field"]; got != float64(1) {
+		t.Fatalf("by_kind[bad-field] = %v, want 1", got)
+	}
+	if st := mgr.Stats(); st.WALBatches != 1 || st.WALRows != 2 {
+		t.Fatalf("WAL logged %d batches / %d rows, want 1 / 2", st.WALBatches, st.WALRows)
+	}
+}
+
 func TestAdminSnapshotNotFoundWithoutPersist(t *testing.T) {
 	srv := testServer(t, fleet.Config{}, Config{})
 	ts := httptest.NewServer(srv.Handler())

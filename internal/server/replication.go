@@ -21,6 +21,7 @@ import (
 
 	"disksig/internal/fleet"
 	"disksig/internal/persist"
+	"disksig/internal/wire"
 )
 
 // Role is a node's place in a replicated pair.
@@ -486,7 +487,9 @@ func (s *Server) handleShip(w http.ResponseWriter, r *http.Request) {
 	}
 
 	pos := from.Offset
-	it := persist.NewFrameIter(frames)
+	dec := decoderPool.Get().(*wire.Decoder)
+	defer decoderPool.Put(dec)
+	it := persist.NewFrameIter(frames, dec)
 	for {
 		obs, size, err := it.Next()
 		if err == io.EOF {

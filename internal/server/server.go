@@ -382,6 +382,14 @@ func (s *Server) handleIngestJSON(w http.ResponseWriter, r *http.Request) {
 				Detail: fmt.Sprintf("record %d: %v", i, classErr),
 			}, quality.Config{})
 			rep.AddRows(1, 1, 0)
+		case rec.Hour < math.MinInt32 || rec.Hour > math.MaxInt32:
+			// The binary format, and so the WAL record, carries an int32
+			// hour: one such record must not fail the whole batch.
+			rep.Note(quality.Issue{
+				Kind: quality.BadField, Field: "hour", Drive: rec.Serial,
+				Detail: fmt.Sprintf("record %d hour %d outside int32 range", i, rec.Hour),
+			}, quality.Config{})
+			rep.AddRows(1, 1, 0)
 		case len(rec.Values) != int(smart.NumAttrs):
 			rep.Note(quality.Issue{
 				Kind: quality.ShortRow, Drive: rec.Serial,

@@ -13,10 +13,9 @@
 //
 // # Frame layout (version 1)
 //
-// All integers are little-endian. The frame borrows the framing
-// discipline of internal/persist's WAL: length-prefixed fixed headers, a
-// checksum over the whole payload, and decode errors that name exactly
-// what tore.
+// All integers are little-endian. The frame is also internal/persist's
+// WAL record and replication unit: fixed headers, a checksum over the
+// whole payload, and decode errors that name exactly what tore.
 //
 //	offset 0  u8  version (0x01)
 //	offset 1  u32 record count
@@ -71,7 +70,7 @@ const Version = 1
 const Version2 = 2
 
 const (
-	// MaxSerialLen caps one serial number, matching the WAL's cap.
+	// MaxSerialLen caps one serial number.
 	MaxSerialLen = 4096
 	// headerSize is the fixed frame header: version byte + record count.
 	headerSize = 1 + 4
