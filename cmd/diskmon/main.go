@@ -98,6 +98,8 @@ func main() {
 		return recs
 	}
 
+	// Monitor drive IDs index a slice, so each replayed drive's ID is its
+	// position in the replay; alert lines carry the dataset's DriveID.
 	var leadTimes []float64
 	var missed, alerts int
 	replayed := 0
@@ -108,7 +110,8 @@ func main() {
 		replayed++
 		firstWarn := -1
 		for _, rec := range stream(p) {
-			if a := mon.Ingest(p.DriveID, rec); a != nil {
+			if a := mon.Ingest(replayed-1, rec); a != nil {
+				a.DriveID = p.DriveID
 				alerts++
 				if *verbose {
 					fmt.Println("  ", a)
@@ -133,7 +136,7 @@ func main() {
 		goodReplayed++
 		flagged := false
 		for _, rec := range stream(p) {
-			if a := mon.Ingest(p.DriveID+1_000_000, rec); a != nil && a.Severity >= monitor.Warning {
+			if a := mon.Ingest(replayed+goodReplayed-1, rec); a != nil && a.Severity >= monitor.Warning {
 				flagged = true
 			}
 		}

@@ -71,14 +71,17 @@ func runSelftest(ch *core.Characterization, store *fleet.Store, srv *server.Serv
 		recs   []smart.Record
 	}
 	var drives []replayDrive
-	add := func(p *smart.Profile, serial string, refID int) {
+	// The reference monitor's drive ID is the drive's position in the
+	// replay: monitor IDs index a slice, so they must be dense. faultKey
+	// only seeds the drive's corruption stream.
+	add := func(p *smart.Profile, serial string, faultKey int) {
 		recs, _ := faultinject.CorruptRecords(p.Records, faultinject.Config{
-			Seed:          parallel.DeriveSeed(seed, int64(refID)),
+			Seed:          parallel.DeriveSeed(seed, int64(faultKey)),
 			GarbleRate:    corruptRate,
 			DuplicateRate: corruptRate,
 			ReorderRate:   corruptRate,
 		})
-		drives = append(drives, replayDrive{serial: serial, refID: refID, recs: recs})
+		drives = append(drives, replayDrive{serial: serial, refID: len(drives), recs: recs})
 	}
 	for i, p := range replayDS.Failed {
 		if i >= maxFailed {

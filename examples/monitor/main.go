@@ -38,13 +38,17 @@ func main() {
 	fmt.Printf("streaming drive #%d (%d hourly records, fails at the last one)\n\n",
 		drive.DriveID, drive.Len())
 
+	// Monitor drive IDs index a slice and must be dense: the failed drive
+	// is monitor drive 0 and the healthy one drive 1. Alerts are
+	// relabelled with the dataset's DriveID for printing.
 	for _, rec := range drive.Records {
-		if alert := mon.Ingest(drive.DriveID, rec); alert != nil {
+		if alert := mon.Ingest(0, rec); alert != nil {
+			alert.DriveID = drive.DriveID
 			fmt.Println(alert)
 		}
 	}
 
-	st, _ := mon.Status(drive.DriveID)
+	st, _ := mon.Status(0)
 	fmt.Printf("\nfinal state: severity=%s degradation=%+.2f (actual failure occurred at hour %d)\n",
 		st.Severity, st.Degradation, drive.Records[drive.Len()-1].Hour)
 
@@ -52,7 +56,8 @@ func main() {
 	good := liveFleet.Good[0]
 	quiet := true
 	for _, rec := range good.Records {
-		if alert := mon.Ingest(1_000_000+good.DriveID, rec); alert != nil && alert.Severity >= monitor.Warning {
+		if alert := mon.Ingest(1, rec); alert != nil && alert.Severity >= monitor.Warning {
+			alert.DriveID = good.DriveID
 			quiet = false
 			fmt.Println("unexpected:", alert)
 		}

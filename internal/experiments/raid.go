@@ -29,6 +29,7 @@ func (ctx *Context) AblationProactiveRAID() (*Result, error) {
 		return nil, err
 	}
 
+	// Monitor drive IDs are replay positions: dense, as the monitor needs.
 	const maxFailed, maxGood = 40, 120
 	var leadTimes []float64
 	detected, replayedFailed := 0, 0
@@ -39,7 +40,7 @@ func (ctx *Context) AblationProactiveRAID() (*Result, error) {
 		replayedFailed++
 		firstWarn := -1
 		for _, rec := range p.Records {
-			if a := mon.Ingest(p.DriveID, rec); a != nil && a.Severity >= monitor.Warning && firstWarn < 0 {
+			if a := mon.Ingest(replayedFailed-1, rec); a != nil && a.Severity >= monitor.Warning && firstWarn < 0 {
 				firstWarn = rec.Hour
 			}
 		}
@@ -55,7 +56,7 @@ func (ctx *Context) AblationProactiveRAID() (*Result, error) {
 		}
 		replayedGood++
 		for _, rec := range p.Records {
-			if a := mon.Ingest(1_000_000+p.DriveID, rec); a != nil && a.Severity >= monitor.Warning {
+			if a := mon.Ingest(replayedFailed+replayedGood-1, rec); a != nil && a.Severity >= monitor.Warning {
 				falseWarned++
 				break
 			}

@@ -31,6 +31,7 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Monitor drive IDs are replay positions: dense, as the monitor needs.
 	const maxFailed = 40
 	absErr := map[monitor.Severity][]float64{}
 	within2x := map[monitor.Severity]int{}
@@ -43,7 +44,7 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 		replayed++
 		failHour := p.Records[p.Len()-1].Hour
 		for _, rec := range p.Records {
-			a := mon.Ingest(p.DriveID, rec)
+			a := mon.Ingest(replayed-1, rec)
 			if a == nil || math.IsInf(a.HoursToFailure, 1) {
 				continue
 			}
@@ -86,7 +87,7 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 			}
 			nFailed++
 			for _, rec := range p.Records {
-				if a := m2.Ingest(p.DriveID, rec); a != nil && a.Severity >= monitor.Warning {
+				if a := m2.Ingest(nFailed-1, rec); a != nil && a.Severity >= monitor.Warning {
 					warned++
 					break
 				}
@@ -99,7 +100,7 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 			}
 			nGood++
 			for _, rec := range p.Records {
-				if a := m2.Ingest(1_000_000+p.DriveID, rec); a != nil && a.Severity >= monitor.Warning {
+				if a := m2.Ingest(nFailed+nGood-1, rec); a != nil && a.Severity >= monitor.Warning {
 					falseWarned++
 					break
 				}

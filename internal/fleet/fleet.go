@@ -109,20 +109,54 @@ type BatchResult struct {
 }
 
 // shard is one lock stripe: a monitor plus the serial <-> local-ID
-// mapping. Local IDs are dense per shard and never reused, so a drive
-// that is evicted and reports again restarts with fresh state.
+// mapping. Local IDs are dense per shard: ids is the shard's only
+// per-drive map, and every other per-drive structure (serials, history,
+// the monitor's slots) is a slice indexed by the ID. Removing or
+// evicting a drive frees its ID for the next new serial, so the slices
+// stay as long as the shard's peak live drive count; a drive that is
+// evicted and reports again restarts with fresh state.
 type shard struct {
-	mu      sync.Mutex
-	mon     *monitor.Monitor
-	ids     map[string]int
+	mu  sync.Mutex
+	mon *monitor.Monitor
+	ids map[string]int
+	// serials maps an ID back to its serial ("" once the ID is freed).
 	serials []string
+	// free holds the freed IDs, reused last-freed first.
+	free    []int
 	maxHour int
 	// history holds each drive's newest kept records (cap histCap, ring
 	// semantics), the raw telemetry the retrainer harvests. Quarantined
 	// and dropped records never enter it: it mirrors exactly the records
-	// that shaped monitor state.
-	history map[int][]smart.Record
+	// that shaped monitor state. It is indexed by ID, parallel to
+	// serials.
+	history [][]smart.Record
 	histCap int
+}
+
+// assign gives a new serial an ID, reusing a freed one when there is one.
+func (sh *shard) assign(serial string) int {
+	var id int
+	if n := len(sh.free); n > 0 {
+		id = sh.free[n-1]
+		sh.free = sh.free[:n-1]
+		sh.serials[id] = serial
+	} else {
+		id = len(sh.serials)
+		sh.serials = append(sh.serials, serial)
+		sh.history = append(sh.history, nil)
+	}
+	sh.ids[serial] = id
+	return id
+}
+
+// release frees a drive's ID along with its serial, history and monitor
+// state, reporting whether the monitor was tracking the drive.
+func (sh *shard) release(id int) bool {
+	delete(sh.ids, sh.serials[id])
+	sh.serials[id] = ""
+	sh.history[id] = nil
+	sh.free = append(sh.free, id)
+	return sh.mon.Forget(id)
 }
 
 // recordHistory appends a kept record to a drive's history ring. A
@@ -224,8 +258,7 @@ func NewMulti(models []monitor.GroupModel, norms monitor.ClassNorms, cfg Config)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: building shard %d: %w", i, err)
 		}
-		shards[i] = &shard{mon: mon, ids: map[string]int{}, maxHour: math.MinInt,
-			history: map[int][]smart.Record{}, histCap: cfg.HistoryHours}
+		shards[i] = &shard{mon: mon, ids: map[string]int{}, maxHour: math.MinInt, histCap: cfg.HistoryHours}
 	}
 	return &Store{cfg: cfg, models: models, norms: norms, version: 1,
 		shards: shards, mask: uint64(cfg.Shards - 1)}, nil
@@ -280,9 +313,7 @@ func (s *Store) Ingest(serial string, rec smart.Record) *Alert {
 func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec smart.Record) *Alert {
 	id, ok := sh.ids[serial]
 	if !ok {
-		id = len(sh.serials)
-		sh.ids[serial] = id
-		sh.serials = append(sh.serials, serial)
+		id = sh.assign(serial)
 	}
 	if rec.Hour > sh.maxHour {
 		sh.maxHour = rec.Hour
@@ -412,9 +443,7 @@ func (s *Store) Remove(serial string) bool {
 	if !ok {
 		return false
 	}
-	delete(sh.ids, serial)
-	delete(sh.history, id)
-	return sh.mon.Forget(id)
+	return sh.release(id)
 }
 
 // Tracked returns the number of drives currently tracked across all
@@ -473,9 +502,7 @@ func (s *Store) EvictStale() int {
 		sh.mu.Lock()
 		for _, st := range sh.mon.Snapshot() {
 			if st.LastHour < cutoff {
-				sh.mon.Forget(st.DriveID)
-				delete(sh.ids, sh.serials[st.DriveID])
-				delete(sh.history, st.DriveID)
+				sh.release(st.DriveID)
 				n++
 			}
 		}

@@ -159,9 +159,7 @@ func Restore(st *State, cfg Config) (*Store, error) {
 	err = parallel.ForEachErr(cfg.Workers, len(store.shards), func(si int) error {
 		sh := store.shards[si]
 		for _, e := range perShard[si] {
-			id := len(sh.serials)
-			sh.ids[e.Serial] = id
-			sh.serials = append(sh.serials, e.Serial)
+			id := sh.assign(e.Serial)
 			if err := sh.mon.ImportDrive(id, e.State); err != nil {
 				return fmt.Errorf("fleet: restoring drive %s: %w", e.Serial, err)
 			}
@@ -243,12 +241,9 @@ func (s *Store) ImportEntries(st *State) (int, error) {
 				sh.mu.Unlock()
 				return imported, fmt.Errorf("fleet: importing: serial %q already tracked", e.Serial)
 			}
-			id := len(sh.serials)
-			sh.ids[e.Serial] = id
-			sh.serials = append(sh.serials, e.Serial)
+			id := sh.assign(e.Serial)
 			if err := sh.mon.ImportDrive(id, e.State); err != nil {
-				delete(sh.ids, e.Serial)
-				sh.serials = sh.serials[:id]
+				sh.release(id)
 				sh.mu.Unlock()
 				return imported, fmt.Errorf("fleet: importing drive %s: %w", e.Serial, err)
 			}

@@ -219,3 +219,75 @@ func TestEvictStaleMinIntDoesNotWrap(t *testing.T) {
 		t.Fatalf("underflowed cutoff evicted %d drives", n)
 	}
 }
+
+// TestChurnReusesDriveIDs replaces a whole population — half removed,
+// half TTL-evicted — and checks that the new serials take over the freed
+// IDs instead of growing the shards' per-drive slices, and that the
+// churned store exports exactly what a fresh replay of the survivors
+// does.
+func TestChurnReusesDriveIDs(t *testing.T) {
+	const n = 64
+	cfg := Config{Shards: 4, TTLHours: 10, HistoryHours: 4}
+	batches := func(prefix string, from int) [][]Observation {
+		var out [][]Observation
+		for h := from; h < from+3; h++ {
+			var b []Observation
+			for d := 0; d < n; d++ {
+				b = append(b, Observation{Serial: fmt.Sprintf("%s-%03d", prefix, d), Record: record(h, 0.9-0.1*float64(h-from))})
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	live := func(s *Store) []int {
+		out := make([]int, len(s.shards))
+		for si, sh := range s.shards {
+			out[si] = len(sh.ids)
+		}
+		return out
+	}
+
+	s := testStore(t, cfg)
+	for _, b := range batches("old", 0) {
+		s.IngestBatch(b)
+	}
+	peak := live(s)
+	for d := 0; d < n/2; d++ {
+		if !s.Remove(fmt.Sprintf("old-%03d", d)) {
+			t.Fatalf("Remove(old-%03d) = false", d)
+		}
+	}
+	// A quarantined record advances telemetry time, so the rest go stale.
+	s.Ingest(fmt.Sprintf("old-%03d", n-1), nonFiniteRecord(100))
+	if got := s.EvictStale(); got != n/2 {
+		t.Fatalf("EvictStale evicted %d, want %d", got, n/2)
+	}
+	for si, sh := range s.shards {
+		if len(sh.ids) != 0 || len(sh.free) != len(sh.serials) {
+			t.Fatalf("shard %d after churn: %d live, %d free of %d IDs", si, len(sh.ids), len(sh.free), len(sh.serials))
+		}
+		for id, serial := range sh.serials {
+			if serial != "" || sh.history[id] != nil {
+				t.Fatalf("shard %d ID %d still holds serial %q / %d history records", si, id, serial, len(sh.history[id]))
+			}
+		}
+	}
+
+	fresh := testStore(t, cfg)
+	for _, b := range batches("new", 100) {
+		s.IngestBatch(b)
+		fresh.IngestBatch(b)
+	}
+	for si, now := range live(s) {
+		peak[si] = max(peak[si], now)
+		if got := len(s.shards[si].serials); got > peak[si] {
+			t.Errorf("shard %d holds %d IDs, peak live count %d", si, got, peak[si])
+		}
+	}
+	if s.Tracked() != n {
+		t.Fatalf("Tracked = %d after churn, want %d", s.Tracked(), n)
+	}
+	if got, want := canonicalState(s.ExportState()), canonicalState(fresh.ExportState()); !reflect.DeepEqual(got, want) {
+		t.Fatal("churned store exports differently from a fresh replay of its surviving drives")
+	}
+}

@@ -168,6 +168,19 @@ type driveState struct {
 	recent [][]float64
 }
 
+// slot is one drive's entry in the monitor's per-drive slice. The zero
+// slot is a drive the monitor does not know.
+type slot struct {
+	// tracked reports that state is live (smoothing windows, severity).
+	tracked bool
+	// hasLedger reports that ledger holds the drive's quality
+	// contribution. A drive whose every record was quarantined has a
+	// ledger but is not tracked.
+	hasLedger bool
+	state     driveState
+	ledger    DriveLedger
+}
+
 // ClassNorms bundles the per-class Eq. (1) normalizers of a mixed
 // fleet. A class with no population (and no models) keeps a nil entry;
 // nil-ness is significant and survives gob (struct pointer fields are
@@ -208,11 +221,12 @@ type Monitor struct {
 	// classModels counts models per device class; records of a class
 	// with no models are quarantined rather than silently scored healthy.
 	classModels [smart.NumClasses]int
-	drives      map[int]*driveState
-	// ledgers holds each drive's contribution to the quality report so
-	// Forget can subtract it exactly. A drive can have a ledger without
-	// being tracked: all of its records were quarantined.
-	ledgers map[int]*DriveLedger
+	// slots holds per-drive state indexed by drive ID, so scoring a
+	// record touches one slot and no hash table. Each ledger is kept so
+	// Forget can subtract the drive's quality contribution exactly.
+	slots []slot
+	// tracked counts the slots whose drive is tracked.
+	tracked int
 	quality quality.Report
 	// normBuf is the reusable normalized-vector scratch of Ingest; a
 	// Monitor is single-goroutine (each fleet shard owns one behind its
@@ -293,8 +307,6 @@ func NewMulti(models []GroupModel, norms ClassNorms, cfg Config) (*Monitor, erro
 		models:      models,
 		norms:       norms,
 		classModels: classModels,
-		drives:      map[int]*driveState{},
-		ledgers:     map[int]*DriveLedger{},
 		normBuf:     make([]float64, smart.NumAttrs),
 	}, nil
 }
@@ -388,23 +400,30 @@ func (m *Monitor) Ingest(driveID int, rec smart.Record) *Alert {
 // contradict the class a drive first reported with, are quarantined (a
 // serial cannot change hardware mid-stream; one of the two reports is
 // corrupt).
+//
+// Drive IDs index a slice: they must be non-negative, and the monitor's
+// memory is proportional to the largest ID it has seen, so callers hand
+// out dense IDs (a fleet shard numbers its serials from 0 and reuses
+// freed IDs). A negative ID is a caller bug and panics.
 func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Record) (*Alert, bool) {
+	s := m.slotFor(driveID)
 	if !class.Valid() || m.classModels[class] == 0 {
-		m.note(driveID, quality.Issue{
+		m.note(s, quality.Issue{
 			Kind: quality.BadField, Drive: strconv.Itoa(driveID),
 			Field:  "device_class",
 			Detail: fmt.Sprintf("no models for class %v", class),
 		})
-		m.addRows(driveID, 1, 1)
+		m.addRows(s, 1, 1)
 		return nil, false
 	}
-	if st, ok := m.drives[driveID]; ok && st.class != class {
-		m.note(driveID, quality.Issue{
+	st := &s.state
+	if s.tracked && st.class != class {
+		m.note(s, quality.Issue{
 			Kind: quality.BadField, Drive: strconv.Itoa(driveID),
 			Field:  "device_class",
 			Detail: fmt.Sprintf("drive is %v, record claims %v", st.class, class),
 		})
-		m.addRows(driveID, 1, 1)
+		m.addRows(s, 1, 1)
 		return nil, false
 	}
 	// Only non-finite values poison the window: finite out-of-range
@@ -415,7 +434,7 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 	for a := 0; a < int(smart.NumAttrs); a++ {
 		if x := rec.Values[a]; math.IsNaN(x) || math.IsInf(x, 0) {
 			bad = true
-			m.note(driveID, quality.Issue{
+			m.note(s, quality.Issue{
 				Kind: quality.NonFinite, Drive: strconv.Itoa(driveID),
 				Field:  smart.Attr(a).String(),
 				Detail: fmt.Sprintf("value %v", x),
@@ -423,28 +442,25 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 		}
 	}
 	if bad {
-		m.addRows(driveID, 1, 1)
+		m.addRows(s, 1, 1)
 		return nil, false
 	}
 
-	st, ok := m.drives[driveID]
-	if !ok {
-		st = &driveState{class: class, recent: make([][]float64, len(m.models))}
-		for gi := range st.recent {
-			st.recent[gi] = make([]float64, 0, m.cfg.Smoothing)
-		}
-		m.drives[driveID] = st
+	if !s.tracked {
+		s.tracked = true
+		m.tracked++
+		*st = driveState{class: class, recent: m.newWindows(nil)}
 	}
 	replace := false
 	if st.seen {
 		switch {
 		case rec.Hour < st.lastHour:
 			// Stale sample: the drive already reported a later state.
-			m.note(driveID, quality.Issue{
+			m.note(s, quality.Issue{
 				Kind: quality.OutOfOrderTimestamp, Drive: strconv.Itoa(driveID),
 				Detail: fmt.Sprintf("hour %d after hour %d", rec.Hour, st.lastHour),
 			})
-			m.addRows(driveID, 1, 1)
+			m.addRows(s, 1, 1)
 			return nil, false
 		case rec.Hour == st.lastHour:
 			// Keep-latest: the repeat supersedes the previous sample. It
@@ -453,17 +469,17 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 			// so counting it quarantined would hide a state change from
 			// the kept count and break read = kept + quarantined as an
 			// accounting of records that reached the scoring path.
-			m.note(driveID, quality.Issue{
+			m.note(s, quality.Issue{
 				Kind: quality.DuplicateTimestamp, Drive: strconv.Itoa(driveID),
 				Detail: fmt.Sprintf("hour %d repeated", rec.Hour),
 			})
-			m.addRows(driveID, 1, 0)
+			m.addRows(s, 1, 0)
 			replace = true
 		default:
-			m.addRows(driveID, 1, 0)
+			m.addRows(s, 1, 0)
 		}
 	} else {
-		m.addRows(driveID, 1, 0)
+		m.addRows(s, 1, 0)
 	}
 	st.seen = true
 	st.lastHour = rec.Hour
@@ -510,21 +526,51 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 	return nil, true
 }
 
-// ledger returns (creating if needed) a drive's quality ledger.
-func (m *Monitor) ledger(driveID int) *DriveLedger {
-	led, ok := m.ledgers[driveID]
-	if !ok {
-		led = &DriveLedger{}
-		m.ledgers[driveID] = led
+// slotFor returns a drive's slot, growing the slice to reach it. The
+// pointer is valid until the slice next grows.
+func (m *Monitor) slotFor(driveID int) *slot {
+	if driveID < 0 {
+		panic(fmt.Sprintf("monitor: negative drive ID %d", driveID))
 	}
-	return led
+	if driveID >= len(m.slots) {
+		m.slots = append(m.slots, make([]slot, driveID+1-len(m.slots))...)
+	}
+	return &m.slots[driveID]
+}
+
+// known returns a drive's slot, or nil when the ID is outside the slice
+// (a negative ID is never known).
+func (m *Monitor) known(driveID int) *slot {
+	if driveID < 0 || driveID >= len(m.slots) {
+		return nil
+	}
+	return &m.slots[driveID]
+}
+
+// newWindows builds one smoothing window per model, holding a copy of
+// src's scores when src is non-nil. All windows share one backing array
+// with room for Smoothing scores each, so a drive's windows sit together
+// in memory and never re-allocate.
+func (m *Monitor) newWindows(src [][]float64) [][]float64 {
+	k := m.cfg.Smoothing
+	buf := make([]float64, len(m.models)*k)
+	recent := make([][]float64, len(m.models))
+	for gi := range recent {
+		w := buf[gi*k : gi*k : (gi+1)*k]
+		if src != nil {
+			w = append(w, src[gi]...)
+		}
+		recent[gi] = w
+	}
+	return recent
 }
 
 // note records an issue in both the monitor-wide report and the drive's
 // ledger, so the contribution can later be released by Forget.
-func (m *Monitor) note(driveID int, iss quality.Issue) {
+func (m *Monitor) note(s *slot, iss quality.Issue) {
 	m.quality.Note(iss, quality.Config{})
-	led := m.ledger(driveID)
+	s.hasLedger = true
+	led := &s.ledger
 	if led.ByKind == nil {
 		led.ByKind = map[quality.Kind]int{}
 	}
@@ -539,11 +585,11 @@ func (m *Monitor) note(driveID int, iss quality.Issue) {
 
 // addRows accounts rows in both the monitor-wide report and the drive's
 // ledger.
-func (m *Monitor) addRows(driveID, read, quarantined int) {
+func (m *Monitor) addRows(s *slot, read, quarantined int) {
 	m.quality.AddRows(read, quarantined, 0)
-	led := m.ledger(driveID)
-	led.RowsRead += read
-	led.RowsQuarantined += quarantined
+	s.hasLedger = true
+	s.ledger.RowsRead += read
+	s.ledger.RowsQuarantined += quarantined
 }
 
 // worstGroup returns the model index with the lowest smoothed score and
@@ -620,12 +666,14 @@ func hoursToFailure(gm GroupModel, deg float64) float64 {
 	return gm.WindowD * math.Pow(deg+1, 1/k)
 }
 
-// Status returns the monitor's current view of a drive.
+// Status returns the monitor's current view of a drive; false for a
+// drive it does not track, including any negative ID.
 func (m *Monitor) Status(driveID int) (DriveStatus, bool) {
-	st, ok := m.drives[driveID]
-	if !ok {
+	s := m.known(driveID)
+	if s == nil || !s.tracked {
 		return DriveStatus{}, false
 	}
+	st := &s.state
 	group, deg := m.worstGroup(st)
 	gm := m.models[group]
 	return DriveStatus{
@@ -641,7 +689,7 @@ func (m *Monitor) Status(driveID int) (DriveStatus, bool) {
 }
 
 // Tracked returns the number of drives the monitor has seen.
-func (m *Monitor) Tracked() int { return len(m.drives) }
+func (m *Monitor) Tracked() int { return m.tracked }
 
 // Forget discards a drive's state, reporting whether the drive was
 // tracked. It is the eviction hook for decommissioned or long-silent
@@ -649,9 +697,15 @@ func (m *Monitor) Tracked() int { return len(m.drives) }
 // window. The drive's contribution to the quality ledger is released
 // along with it, so Quality() only accounts for drives the monitor
 // still knows — a fleet that forgets a drive and re-summarizes must not
-// leak the forgotten drive's counts.
+// leak the forgotten drive's counts. The slot is reset, so the caller
+// may reuse the ID for another drive; a negative ID reports false.
 func (m *Monitor) Forget(driveID int) bool {
-	if led, ok := m.ledgers[driveID]; ok {
+	s := m.known(driveID)
+	if s == nil {
+		return false
+	}
+	if s.hasLedger {
+		led := &s.ledger
 		m.quality.RowsRead -= led.RowsRead
 		m.quality.RowsQuarantined -= led.RowsQuarantined
 		for k, n := range led.ByKind {
@@ -662,13 +716,13 @@ func (m *Monitor) Forget(driveID int) bool {
 				delete(m.quality.ByField, f)
 			}
 		}
-		delete(m.ledgers, driveID)
 	}
-	if _, ok := m.drives[driveID]; !ok {
-		return false
+	tracked := s.tracked
+	if tracked {
+		m.tracked--
 	}
-	delete(m.drives, driveID)
-	return true
+	*s = slot{}
+	return tracked
 }
 
 // Quality reports how many ingested records were clean, quarantined
@@ -679,10 +733,11 @@ func (m *Monitor) Quality() *quality.Report { return &m.quality }
 // ascending degradation (most at-risk first, ties by drive ID). It is the
 // fleet dashboard view of the middleware.
 func (m *Monitor) Snapshot() []DriveStatus {
-	out := make([]DriveStatus, 0, len(m.drives))
-	for id := range m.drives {
-		st, _ := m.Status(id)
-		out = append(out, st)
+	out := make([]DriveStatus, 0, m.tracked)
+	for id := range m.slots {
+		if st, ok := m.Status(id); ok {
+			out = append(out, st)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Degradation != out[j].Degradation {

@@ -32,20 +32,24 @@ type DriveState struct {
 // serialization-ready: the caller owns it, and re-importing it into a
 // fresh monitor reproduces the original state exactly.
 func (m *Monitor) ExportDrives() map[int]DriveState {
-	out := make(map[int]DriveState, len(m.ledgers))
-	for id, led := range m.ledgers {
-		out[id] = DriveState{Ledger: led.clone()}
-	}
-	for id, st := range m.drives {
-		ds := out[id]
-		ds.Tracked = true
-		ds.Class = st.class
-		ds.LastHour = st.lastHour
-		ds.Seen = st.seen
-		ds.Severity = st.severity
-		ds.Recent = make([][]float64, len(st.recent))
-		for gi, w := range st.recent {
-			ds.Recent[gi] = append([]float64(nil), w...)
+	out := make(map[int]DriveState, m.tracked)
+	for id := range m.slots {
+		s := &m.slots[id]
+		if !s.hasLedger {
+			continue // an unused ID: every drive the monitor knows has a ledger
+		}
+		ds := DriveState{Ledger: s.ledger.clone()}
+		if s.tracked {
+			st := &s.state
+			ds.Tracked = true
+			ds.Class = st.class
+			ds.LastHour = st.lastHour
+			ds.Seen = st.seen
+			ds.Severity = st.severity
+			ds.Recent = make([][]float64, len(st.recent))
+			for gi, w := range st.recent {
+				ds.Recent[gi] = append([]float64(nil), w...)
+			}
 		}
 		out[id] = ds
 	}
@@ -57,12 +61,15 @@ func (m *Monitor) ExportDrives() map[int]DriveState {
 // corrupted snapshot yields an error, never an out-of-range index or a
 // smoothing window wider than the configuration allows. The drive's
 // ledger is re-added to the monitor-wide quality report, so restored
-// accounting sums back up and a later Forget releases it cleanly.
+// accounting sums back up and a later Forget releases it cleanly. The
+// drive ID follows IngestClass's contract; a negative one is an error.
 func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
-	if _, ok := m.drives[driveID]; ok {
-		return fmt.Errorf("monitor: drive %d already tracked", driveID)
+	if driveID < 0 {
+		return fmt.Errorf("monitor: negative drive ID %d", driveID)
 	}
-	if _, ok := m.ledgers[driveID]; ok {
+	if s := m.known(driveID); s != nil && s.tracked {
+		return fmt.Errorf("monitor: drive %d already tracked", driveID)
+	} else if s != nil && s.hasLedger {
 		return fmt.Errorf("monitor: drive %d already has a ledger", driveID)
 	}
 	if st.Ledger.RowsRead < 0 || st.Ledger.RowsQuarantined < 0 || st.Ledger.RowsQuarantined > st.Ledger.RowsRead {
@@ -98,8 +105,10 @@ func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
 		}
 	}
 
-	led := st.Ledger.clone()
-	m.ledgers[driveID] = &led
+	s := m.slotFor(driveID)
+	s.hasLedger = true
+	s.ledger = st.Ledger.clone()
+	led := &s.ledger
 	m.quality.AddRows(led.RowsRead, led.RowsQuarantined, 0)
 	for k, n := range led.ByKind {
 		m.quality.ByKind[k] += n
@@ -111,16 +120,14 @@ func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
 		m.quality.ByField[f] += n
 	}
 	if st.Tracked {
-		recent := make([][]float64, len(st.Recent))
-		for gi, w := range st.Recent {
-			recent[gi] = append([]float64(nil), w...)
-		}
-		m.drives[driveID] = &driveState{
+		s.tracked = true
+		m.tracked++
+		s.state = driveState{
 			class:    st.Class,
 			lastHour: st.LastHour,
 			seen:     st.Seen,
 			severity: st.Severity,
-			recent:   recent,
+			recent:   m.newWindows(st.Recent),
 		}
 	}
 	return nil
