@@ -127,7 +127,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	models, err := monitor.ModelsFromCharacterization(ch)
+	models, norms, err := monitor.ModelsFromCharacterization(ch)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func main() {
 
 	dep := loadgen.Deployment{
 		Models:  models,
-		Norm:    ch.Dataset.Norm,
+		Norms:   norms,
 		Monitor: monitor.Config{},
 		Shards:  *shards,
 		Workers: *workers,

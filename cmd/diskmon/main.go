@@ -70,7 +70,11 @@ func main() {
 		fmt.Println(q.Summary())
 	}
 
-	mon, err := monitor.FromCharacterization(ch, monitor.Config{})
+	models, norms, err := monitor.ModelsFromCharacterization(ch)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mon, err := monitor.NewMulti(models, norms, monitor.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func main() {
 		replayed++
 		firstWarn := -1
 		for _, rec := range stream(p) {
-			if a := mon.Ingest(replayed-1, rec); a != nil {
+			if a, _ := mon.IngestClass(replayed-1, smart.HDD, rec); a != nil {
 				a.DriveID = p.DriveID
 				alerts++
 				if *verbose {
@@ -136,7 +140,7 @@ func main() {
 		goodReplayed++
 		flagged := false
 		for _, rec := range stream(p) {
-			if a := mon.Ingest(replayed+goodReplayed-1, rec); a != nil && a.Severity >= monitor.Warning {
+			if a, _ := mon.IngestClass(replayed+goodReplayed-1, smart.HDD, rec); a != nil && a.Severity >= monitor.Warning {
 				flagged = true
 			}
 		}

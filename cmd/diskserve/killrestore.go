@@ -31,11 +31,15 @@ func runKillRestoreSelftest(ch *core.Characterization, scale synth.Scale, seed i
 	defer os.RemoveAll(dir)
 
 	fcfg := fleet.Config{Shards: 8, Monitor: monitor.Config{}}
-	ref, err := fleet.FromCharacterization(ch, fcfg)
+	models, norms, err := monitor.ModelsFromCharacterization(ch)
 	if err != nil {
 		return err
 	}
-	p1, err := fleet.FromCharacterization(ch, fcfg)
+	ref, err := fleet.New(models, norms, fcfg)
+	if err != nil {
+		return err
+	}
+	p1, err := fleet.New(models, norms, fcfg)
 	if err != nil {
 		return err
 	}

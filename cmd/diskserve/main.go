@@ -203,7 +203,11 @@ func main() {
 		if q := ch.Quarantine; q != nil && !q.Clean() {
 			log.Print(q.Summary())
 		}
-		store, err = fleet.FromCharacterization(ch, fcfg)
+		models, norms, err := monitor.ModelsFromCharacterization(ch)
+		if err != nil {
+			log.Fatal(err)
+		}
+		store, err = fleet.New(models, norms, fcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -225,7 +229,7 @@ func main() {
 		// effectively atomic across restarts.
 		if art, lerr := persist.LoadModels(mgr.Dir()); lerr == nil {
 			if art.Version > store.ModelVersion() {
-				if err := store.SwapModels(art.Models, art.Norm, art.Version); err != nil {
+				if err := store.SwapModels(art.Models, art.Norms(), art.Version); err != nil {
 					log.Fatalf("re-applying model artifact v%d: %v", art.Version, err)
 				}
 				log.Printf("re-applied promoted model artifact v%d (fingerprint %s)", art.Version, art.Fingerprint)
@@ -245,7 +249,7 @@ func main() {
 			},
 			Promote: func(art *persist.ModelArtifact) error {
 				if mgr == nil {
-					return store.SwapModels(art.Models, art.Norm, art.Version)
+					return store.SwapModels(art.Models, art.Norms(), art.Version)
 				}
 				// Artifact first, then swap + snapshot under the same
 				// exclusive gate: the snapshot following a promotion always
@@ -254,7 +258,7 @@ func main() {
 					return err
 				}
 				_, err := mgr.SnapshotWith(store, func() error {
-					return store.SwapModels(art.Models, art.Norm, art.Version)
+					return store.SwapModels(art.Models, art.Norms(), art.Version)
 				})
 				return err
 			},

@@ -45,7 +45,11 @@ func runSelftest(ch *core.Characterization, store *fleet.Store, srv *server.Serv
 
 	// The in-process reference: the same trained models, the same
 	// monitor configuration as the store's shards.
-	ref, err := monitor.FromCharacterization(ch, monitor.Config{})
+	models, norms, err := monitor.ModelsFromCharacterization(ch)
+	if err != nil {
+		return err
+	}
+	ref, err := monitor.NewMulti(models, norms, monitor.Config{})
 	if err != nil {
 		return err
 	}
@@ -127,7 +131,7 @@ func runSelftest(ch *core.Characterization, store *fleet.Store, srv *server.Serv
 	var refAlerts []string
 	for _, o := range stream {
 		rec := smart.Record{Hour: o.hour, Values: fromWire(o.values)}
-		if a := ref.Ingest(o.refID, rec); a != nil {
+		if a, _ := ref.IngestClass(o.refID, smart.HDD, rec); a != nil {
 			refAlerts = append(refAlerts, loadgen.AlertKey(o.serial, a.Hour, a.Severity.String(), a.Group, a.Type.String(), a.Degradation))
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"disksig"
 	"disksig/internal/monitor"
+	"disksig/internal/smart"
 )
 
 func main() {
@@ -24,7 +25,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon, err := monitor.FromCharacterization(ch, monitor.Config{})
+	models, norms, err := monitor.ModelsFromCharacterization(ch)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mon, err := monitor.NewMulti(models, norms, monitor.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +47,7 @@ func main() {
 	// is monitor drive 0 and the healthy one drive 1. Alerts are
 	// relabelled with the dataset's DriveID for printing.
 	for _, rec := range drive.Records {
-		if alert := mon.Ingest(0, rec); alert != nil {
+		if alert, _ := mon.IngestClass(0, smart.HDD, rec); alert != nil {
 			alert.DriveID = drive.DriveID
 			fmt.Println(alert)
 		}
@@ -56,7 +61,7 @@ func main() {
 	good := liveFleet.Good[0]
 	quiet := true
 	for _, rec := range good.Records {
-		if alert := mon.Ingest(1, rec); alert != nil && alert.Severity >= monitor.Warning {
+		if alert, _ := mon.IngestClass(1, smart.HDD, rec); alert != nil && alert.Severity >= monitor.Warning {
 			alert.DriveID = good.DriveID
 			quiet = false
 			fmt.Println("unexpected:", alert)

@@ -6,6 +6,7 @@ import (
 	"disksig/internal/monitor"
 	"disksig/internal/raidsim"
 	"disksig/internal/report"
+	"disksig/internal/smart"
 	"disksig/internal/stats"
 	"disksig/internal/synth"
 )
@@ -16,7 +17,11 @@ import (
 // numbers drive a Monte Carlo RAID-5 model comparing reactive
 // replace-on-failure against signature-guided proactive replacement.
 func (ctx *Context) AblationProactiveRAID() (*Result, error) {
-	mon, err := monitor.FromCharacterization(ctx.Char, monitor.Config{})
+	models, norms, err := monitor.ModelsFromCharacterization(ctx.Char)
+	if err != nil {
+		return nil, err
+	}
+	mon, err := monitor.NewMulti(models, norms, monitor.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +45,7 @@ func (ctx *Context) AblationProactiveRAID() (*Result, error) {
 		replayedFailed++
 		firstWarn := -1
 		for _, rec := range p.Records {
-			if a := mon.Ingest(replayedFailed-1, rec); a != nil && a.Severity >= monitor.Warning && firstWarn < 0 {
+			if a, _ := mon.IngestClass(replayedFailed-1, smart.HDD, rec); a != nil && a.Severity >= monitor.Warning && firstWarn < 0 {
 				firstWarn = rec.Hour
 			}
 		}
@@ -56,7 +61,7 @@ func (ctx *Context) AblationProactiveRAID() (*Result, error) {
 		}
 		replayedGood++
 		for _, rec := range p.Records {
-			if a := mon.Ingest(replayedFailed+replayedGood-1, rec); a != nil && a.Severity >= monitor.Warning {
+			if a, _ := mon.IngestClass(replayedFailed+replayedGood-1, smart.HDD, rec); a != nil && a.Severity >= monitor.Warning {
 				falseWarned++
 				break
 			}

@@ -6,6 +6,7 @@ import (
 
 	"disksig/internal/monitor"
 	"disksig/internal/report"
+	"disksig/internal/smart"
 	"disksig/internal/stats"
 	"disksig/internal/synth"
 )
@@ -27,7 +28,11 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 	}
 
 	// Part 1 — ETA accuracy per severity stage.
-	mon, err := monitor.FromCharacterization(ctx.Char, monitor.Config{})
+	models, norms, err := monitor.ModelsFromCharacterization(ctx.Char)
+	if err != nil {
+		return nil, err
+	}
+	mon, err := monitor.NewMulti(models, norms, monitor.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +49,7 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 		replayed++
 		failHour := p.Records[p.Len()-1].Hour
 		for _, rec := range p.Records {
-			a := mon.Ingest(replayed-1, rec)
+			a, _ := mon.IngestClass(replayed-1, smart.HDD, rec)
 			if a == nil || math.IsInf(a.HoursToFailure, 1) {
 				continue
 			}
@@ -76,7 +81,7 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 		"Warn below", "Failed drives warned", "Good drives warned")
 	const maxGood = 100
 	for _, warnBelow := range []float64{0.3, 0.1, 1e-9, -0.2, -0.4} {
-		m2, err := monitor.FromCharacterization(ctx.Char, monitor.Config{WarnBelow: warnBelow})
+		m2, err := monitor.NewMulti(models, norms, monitor.Config{WarnBelow: warnBelow})
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +92,7 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 			}
 			nFailed++
 			for _, rec := range p.Records {
-				if a := m2.Ingest(nFailed-1, rec); a != nil && a.Severity >= monitor.Warning {
+				if a, _ := m2.IngestClass(nFailed-1, smart.HDD, rec); a != nil && a.Severity >= monitor.Warning {
 					warned++
 					break
 				}
@@ -100,7 +105,7 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 			}
 			nGood++
 			for _, rec := range p.Records {
-				if a := m2.Ingest(nFailed+nGood-1, rec); a != nil && a.Severity >= monitor.Warning {
+				if a, _ := m2.IngestClass(nFailed+nGood-1, smart.HDD, rec); a != nil && a.Severity >= monitor.Warning {
 					falseWarned++
 					break
 				}

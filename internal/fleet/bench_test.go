@@ -18,7 +18,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 				b.ReportMetric(float64(len(obs)), "recs/op")
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					s, err := New(testModels(), testNormalizer(), Config{Shards: shards, Workers: workers})
+					s, err := New(testModels(), hddNorms(), Config{Shards: shards, Workers: workers})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -65,7 +65,7 @@ func benchSteady(b *testing.B, drives, hours, batch int) {
 			obs = append(obs, Observation{Serial: serials[d], Record: record(h, 0.9)})
 		}
 	}
-	s, err := New(testModels(), testNormalizer(), Config{Shards: 16, Workers: 8})
+	s, err := New(testModels(), hddNorms(), Config{Shards: 16, Workers: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

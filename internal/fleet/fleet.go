@@ -15,7 +15,6 @@ import (
 	"sort"
 	"sync"
 
-	"disksig/internal/core"
 	"disksig/internal/monitor"
 	"disksig/internal/parallel"
 	"disksig/internal/quality"
@@ -182,7 +181,7 @@ func (sh *shard) recordHistory(id int, rec smart.Record) {
 // Store is the sharded fleet-state store.
 type Store struct {
 	cfg Config
-	// swapMu is the model-swap barrier: Ingest/IngestBatch/ExportState
+	// swapMu is the model-swap barrier: IngestBatch/ExportState
 	// hold it shared, SwapModels holds it exclusively. No batch is ever
 	// scored by two model versions, and no export straddles a swap.
 	swapMu sync.RWMutex
@@ -233,24 +232,13 @@ func (s *Store) getScratch() *batchScratch {
 	}
 }
 
-// New builds a store whose shards each score drives with the given group
-// models and normalizer (shared read-only across shards; predictors must
-// be safe for concurrent Predict calls, which trees and forests are).
-// The models must be HDD-class; a mixed fleet uses NewMulti.
-func New(models []monitor.GroupModel, norm *smart.Normalizer, cfg Config) (*Store, error) {
-	for _, m := range models {
-		if m.Class != smart.HDD {
-			return nil, fmt.Errorf("fleet: group %d is %v-class; a mixed model set needs NewMulti", m.Group, m.Class)
-		}
-	}
-	return NewMulti(models, monitor.ClassNorms{HDD: norm}, cfg)
-}
-
-// NewMulti builds a store serving a heterogeneous fleet: models carry
-// their device class and norms holds one fitted normalizer per served
-// class. Observations are scored only against models of their own
-// class.
-func NewMulti(models []monitor.GroupModel, norms monitor.ClassNorms, cfg Config) (*Store, error) {
+// New builds a store whose shards each score drives with the given
+// group models and per-class normalizers (shared read-only across
+// shards; predictors must be safe for concurrent Predict calls, which
+// trees and forests are). Models carry their device class, norms holds
+// one fitted normalizer per served class, and observations are scored
+// only against models of their own class.
+func New(models []monitor.GroupModel, norms monitor.ClassNorms, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
@@ -262,16 +250,6 @@ func NewMulti(models []monitor.GroupModel, norms monitor.ClassNorms, cfg Config)
 	}
 	return &Store{cfg: cfg, models: models, norms: norms, version: 1,
 		shards: shards, mask: uint64(cfg.Shards - 1)}, nil
-}
-
-// FromCharacterization builds a store directly from a pipeline run that
-// included the prediction stage.
-func FromCharacterization(ch *core.Characterization, cfg Config) (*Store, error) {
-	models, err := monitor.ModelsFromCharacterization(ch)
-	if err != nil {
-		return nil, err
-	}
-	return New(models, ch.Dataset.Norm, cfg)
 }
 
 // fnv1a is the 64-bit FNV-1a hash of the serial, the shard-selection
@@ -294,22 +272,6 @@ func (s *Store) shardIndex(serial string) int { return int(fnv1a(serial) & s.mas
 // Shards returns the shard count (always a power of two).
 func (s *Store) Shards() int { return len(s.shards) }
 
-// Ingest scores one observation, returning a non-nil alert when the
-// drive's severity escalates. Defective telemetry is quarantined by the
-// shard monitor and accounted in Quality.
-func (s *Store) Ingest(serial string, rec smart.Record) *Alert {
-	s.swapMu.RLock()
-	defer s.swapMu.RUnlock()
-	sh := s.shards[s.shardIndex(serial)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	a := sh.ingestLocked(serial, smart.HDD, rec)
-	if a != nil {
-		a.ModelVersion = s.version
-	}
-	return a
-}
-
 func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec smart.Record) *Alert {
 	id, ok := sh.ids[serial]
 	if !ok {
@@ -331,8 +293,9 @@ func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec smart.
 // IngestBatch scores a batch of observations concurrently, one worker
 // per occupied shard (bounded by Config.Workers). Observations of the
 // same drive are applied in submission order, and the returned alerts
-// are in submission order, so the result is identical to calling Ingest
-// sequentially — sharding and workers change only the wall clock.
+// are in submission order, so the result is identical to ingesting the
+// observations one at a time — sharding and workers change only the
+// wall clock.
 func (s *Store) IngestBatch(obs []Observation) BatchResult {
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()

@@ -40,9 +40,22 @@ func testModels() []monitor.GroupModel {
 	}}
 }
 
+// hddNorms serves the HDD test models.
+func hddNorms() monitor.ClassNorms { return monitor.ClassNorms{HDD: testNormalizer()} }
+
+// ingest scores one HDD observation as a one-record batch, returning its
+// alert if it raised one.
+func ingest(s *Store, serial string, rec smart.Record) *Alert {
+	res := s.IngestBatch([]Observation{{Serial: serial, Record: rec}})
+	if len(res.Alerts) == 0 {
+		return nil
+	}
+	return &res.Alerts[0]
+}
+
 func testStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
-	s, err := New(testModels(), testNormalizer(), cfg)
+	s, err := New(testModels(), hddNorms(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +99,10 @@ func TestShardingIsStable(t *testing.T) {
 
 func TestIngestAndQuery(t *testing.T) {
 	s := testStore(t, Config{Shards: 4, Monitor: monitor.Config{Smoothing: 1}})
-	if a := s.Ingest("SER-1", record(0, 0.9)); a != nil {
+	if a := ingest(s, "SER-1", record(0, 0.9)); a != nil {
 		t.Errorf("healthy record alerted: %v", a)
 	}
-	a := s.Ingest("SER-1", record(1, -0.9))
+	a := ingest(s, "SER-1", record(1, -0.9))
 	if a == nil || a.Serial != "SER-1" || a.Severity < monitor.Warning {
 		t.Fatalf("degraded record alert = %+v", a)
 	}
@@ -107,7 +120,7 @@ func TestIngestAndQuery(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	s := testStore(t, Config{Shards: 2})
-	s.Ingest("SER-1", record(0, 0.9))
+	ingest(s, "SER-1", record(0, 0.9))
 	if !s.Remove("SER-1") {
 		t.Fatal("Remove of a tracked drive returned false")
 	}
@@ -122,7 +135,7 @@ func TestRemove(t *testing.T) {
 	if _, ok := s.Drive("SER-1"); ok {
 		t.Fatal("Drive succeeded after Remove")
 	}
-	s.Ingest("SER-1", record(0, 0.9))
+	ingest(s, "SER-1", record(0, 0.9))
 	if dh, ok := s.Drive("SER-1"); !ok || dh.Severity != monitor.Healthy {
 		t.Fatalf("re-ingested drive = %+v, %v", dh, ok)
 	}
@@ -130,9 +143,9 @@ func TestRemove(t *testing.T) {
 
 func TestEvictStale(t *testing.T) {
 	s := testStore(t, Config{Shards: 4, TTLHours: 10})
-	s.Ingest("OLD-1", record(0, 0.9))
-	s.Ingest("OLD-2", record(5, 0.9))
-	s.Ingest("NEW-1", record(100, 0.9))
+	ingest(s, "OLD-1", record(0, 0.9))
+	ingest(s, "OLD-2", record(5, 0.9))
+	ingest(s, "NEW-1", record(100, 0.9))
 	if n := s.EvictStale(); n != 2 {
 		t.Fatalf("EvictStale = %d, want 2", n)
 	}
@@ -147,8 +160,8 @@ func TestEvictStale(t *testing.T) {
 	}
 	// TTL disabled: never evicts.
 	s2 := testStore(t, Config{Shards: 4})
-	s2.Ingest("OLD-1", record(0, 0.9))
-	s2.Ingest("NEW-1", record(1000, 0.9))
+	ingest(s2, "OLD-1", record(0, 0.9))
+	ingest(s2, "NEW-1", record(1000, 0.9))
 	if n := s2.EvictStale(); n != 0 {
 		t.Errorf("EvictStale with TTL disabled = %d, want 0", n)
 	}
@@ -180,7 +193,7 @@ func TestIngestBatchMatchesSequential(t *testing.T) {
 	seq := testStore(t, Config{Shards: 1, Workers: 1})
 	var seqAlerts []Alert
 	for _, o := range obs {
-		if a := seq.Ingest(o.Serial, o.Record); a != nil {
+		if a := ingest(seq, o.Serial, o.Record); a != nil {
 			seqAlerts = append(seqAlerts, *a)
 		}
 	}

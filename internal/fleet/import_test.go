@@ -58,7 +58,7 @@ func TestImportEntriesMergeAndConflict(t *testing.T) {
 	half.Drives = st.Drives[:len(st.Drives)/2]
 
 	dst := testStore(t, Config{Shards: 4})
-	dst.Ingest("LOCAL-1", record(0, 0.9))
+	ingest(dst, "LOCAL-1", record(0, 0.9))
 	n, err := dst.ImportEntries(&half)
 	if err != nil {
 		t.Fatalf("ImportEntries: %v", err)
@@ -110,8 +110,8 @@ func TestImportEntriesRejectsCorruptState(t *testing.T) {
 // so eviction does not rejuvenate moved fleets.
 func TestImportEntriesKeepsMaxHourSurplus(t *testing.T) {
 	src := testStore(t, Config{Shards: 2})
-	src.Ingest("A", record(5, 0.9))
-	src.Ingest("A", nonFiniteRecord(500)) // quarantined, but hour 500 observed
+	ingest(src, "A", record(5, 0.9))
+	ingest(src, "A", nonFiniteRecord(500)) // quarantined, but hour 500 observed
 	st := src.ExportState()
 	if st.MaxHour != 500 {
 		t.Fatalf("exported MaxHour = %d, want 500", st.MaxHour)

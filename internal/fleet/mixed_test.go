@@ -39,7 +39,7 @@ func stripDriveIDs(alerts []Alert) []Alert {
 func mixedTestStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	models, norms := mixedModels()
-	s, err := NewMulti(models, norms, cfg)
+	s, err := New(models, norms, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,11 @@ type State struct {
 	HasHour bool
 }
 
+// Norms returns the state's per-class normalizers.
+func (st *State) Norms() monitor.ClassNorms {
+	return monitor.ClassNorms{HDD: st.Norm, SSD: st.SSDNorm}
+}
+
 // ExportState deep-copies the store's full state for serialization,
 // collecting shards in parallel. Each shard is locked while it is
 // copied, but the export is not a fleet-wide atomic cut: the caller
@@ -136,7 +141,7 @@ func Restore(st *State, cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("fleet: restoring nil state")
 	}
 	cfg.Monitor = st.MonitorCfg
-	store, err := NewMulti(st.Models, monitor.ClassNorms{HDD: st.Norm, SSD: st.SSDNorm}, cfg)
+	store, err := New(st.Models, st.Norms(), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: restoring: %w", err)
 	}

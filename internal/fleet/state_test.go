@@ -163,9 +163,9 @@ func TestRestoreEmptyFleet(t *testing.T) {
 
 func TestRemoveReleasesQuality(t *testing.T) {
 	s := testStore(t, Config{Shards: 2})
-	s.Ingest("A", record(0, 0.9))
-	s.Ingest("A", nonFiniteRecord(1))
-	s.Ingest("B", record(0, 0.9))
+	ingest(s, "A", record(0, 0.9))
+	ingest(s, "A", nonFiniteRecord(1))
+	ingest(s, "B", record(0, 0.9))
 	if q := s.Quality(); q.RowsRead != 3 || q.RowsQuarantined != 1 {
 		t.Fatalf("quality before Remove: %v", q.Summary())
 	}
@@ -178,7 +178,7 @@ func TestRemoveReleasesQuality(t *testing.T) {
 	}
 	// Quarantine-only drive: Remove reports false (never tracked) but
 	// must still release the accounting.
-	s.Ingest("C", nonFiniteRecord(0))
+	ingest(s, "C", nonFiniteRecord(0))
 	if s.Remove("C") {
 		t.Fatal("Remove of a quarantine-only drive returned true")
 	}
@@ -199,7 +199,7 @@ func TestEvictStaleSingleDrive(t *testing.T) {
 	// hour itself, so it can never be TTL-stale — whatever the hour.
 	for _, hour := range []int{0, -5000, math.MinInt, math.MaxInt} {
 		s := testStore(t, Config{Shards: 2, TTLHours: 24})
-		s.Ingest("ONLY", record(hour, 0.9))
+		ingest(s, "ONLY", record(hour, 0.9))
 		if n := s.EvictStale(); n != 0 {
 			t.Fatalf("EvictStale evicted the only drive (hour %d)", hour)
 		}
@@ -213,8 +213,8 @@ func TestEvictStaleMinIntDoesNotWrap(t *testing.T) {
 	// Newest hour near MinInt: the cutoff subtraction underflows; a
 	// wrapped cutoff would evict a fresh drive.
 	s := testStore(t, Config{Shards: 2, TTLHours: 1000})
-	s.Ingest("OLD", record(math.MinInt, 0.9))
-	s.Ingest("NEW", record(math.MinInt+10, 0.9))
+	ingest(s, "OLD", record(math.MinInt, 0.9))
+	ingest(s, "NEW", record(math.MinInt+10, 0.9))
 	if n := s.EvictStale(); n != 0 {
 		t.Fatalf("underflowed cutoff evicted %d drives", n)
 	}
@@ -258,7 +258,7 @@ func TestChurnReusesDriveIDs(t *testing.T) {
 		}
 	}
 	// A quarantined record advances telemetry time, so the rest go stale.
-	s.Ingest(fmt.Sprintf("old-%03d", n-1), nonFiniteRecord(100))
+	ingest(s, fmt.Sprintf("old-%03d", n-1), nonFiniteRecord(100))
 	if got := s.EvictStale(); got != n/2 {
 		t.Fatalf("EvictStale evicted %d, want %d", got, n/2)
 	}

@@ -41,23 +41,12 @@ func (s *Store) Models() []monitor.GroupModel {
 // them: on error the store still serves the old version unchanged.
 //
 // The incoming set replaces only the model sets of the classes it
-// contains: the online-learning cycle retrains the HDD population from
-// its harvested history, and that promotion must not drop the SSD model
-// set (or vice versa). Classes absent from the incoming set keep their
-// current models and normalizer.
-func (s *Store) SwapModels(models []monitor.GroupModel, norm *smart.Normalizer, version int) error {
-	for _, m := range models {
-		if m.Class != smart.HDD {
-			return fmt.Errorf("fleet: swap group %d is %v-class; a mixed swap needs SwapModelsMulti", m.Group, m.Class)
-		}
-	}
-	return s.SwapModelsMulti(models, monitor.ClassNorms{HDD: norm}, version)
-}
-
-// SwapModelsMulti is SwapModels for class-stamped model sets: each class
-// present in models (with its normalizer in norms) replaces the serving
-// set of that class; absent classes are preserved.
-func (s *Store) SwapModelsMulti(models []monitor.GroupModel, norms monitor.ClassNorms, version int) error {
+// contains, each with its normalizer from norms: the online-learning
+// cycle retrains the HDD population from its harvested history, and
+// that promotion must not drop the SSD model set (or vice versa).
+// Classes absent from the incoming set keep their current models and
+// normalizer.
+func (s *Store) SwapModels(models []monitor.GroupModel, norms monitor.ClassNorms, version int) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if version <= s.version {
@@ -88,7 +77,7 @@ func (s *Store) SwapModelsMulti(models []monitor.GroupModel, norms monitor.Class
 	}
 
 	// Stage: build one replacement monitor per shard with every drive
-	// migrated. Ingest is excluded by the barrier, but queries still
+	// migrated. Ingestion is excluded by the barrier, but queries still
 	// read shards, so each shard locks while its state is copied out.
 	staged := make([]*monitor.Monitor, len(s.shards))
 	for si, sh := range s.shards {

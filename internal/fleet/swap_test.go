@@ -36,14 +36,14 @@ func TestSwapModelsVersioning(t *testing.T) {
 	}
 	// Same or older version: refused, store unchanged.
 	for _, v := range []int{0, 1} {
-		if err := s.SwapModels(swappedModels(0.5), testNormalizer(), v); err == nil {
+		if err := s.SwapModels(swappedModels(0.5), hddNorms(), v); err == nil {
 			t.Fatalf("swap to version %d accepted, want refusal", v)
 		}
 	}
 	if v := s.ModelVersion(); v != 1 {
 		t.Fatalf("ModelVersion = %d after refused swaps, want 1", v)
 	}
-	if err := s.SwapModels(swappedModels(0.5), testNormalizer(), 2); err != nil {
+	if err := s.SwapModels(swappedModels(0.5), hddNorms(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if v := s.ModelVersion(); v != 2 {
@@ -57,7 +57,7 @@ func TestSwapModelsVersioning(t *testing.T) {
 		t.Fatalf("Models()[0].Predictor = %T, want the swapped-in shiftPredictor", m[0].Predictor)
 	}
 	// Versions need not be consecutive — only increasing.
-	if err := s.SwapModels(swappedModels(0.25), testNormalizer(), 7); err != nil {
+	if err := s.SwapModels(swappedModels(0.25), hddNorms(), 7); err != nil {
 		t.Fatal(err)
 	}
 	if v := s.ModelVersion(); v != 7 {
@@ -67,15 +67,15 @@ func TestSwapModelsVersioning(t *testing.T) {
 
 func TestSwapPreservesStatePerDrive(t *testing.T) {
 	s := testStore(t, Config{Shards: 2, Monitor: monitor.Config{Smoothing: 1}, HistoryHours: 100})
-	s.Ingest("SER-1", record(0, 0.9))
-	if a := s.Ingest("SER-1", record(1, -0.3)); a == nil || a.ModelVersion != 1 || a.Severity != monitor.Warning {
+	ingest(s, "SER-1", record(0, 0.9))
+	if a := ingest(s, "SER-1", record(1, -0.3)); a == nil || a.ModelVersion != 1 || a.Severity != monitor.Warning {
 		t.Fatalf("pre-swap alert = %+v, want version-1 warning", a)
 	}
 	before, _ := s.Drive("SER-1")
 
 	// The swap itself re-scores nothing: severity and last-hour carry
 	// over as-is.
-	if err := s.SwapModels(swappedModels(0.25), testNormalizer(), 2); err != nil {
+	if err := s.SwapModels(swappedModels(0.25), hddNorms(), 2); err != nil {
 		t.Fatal(err)
 	}
 	after, ok := s.Drive("SER-1")
@@ -92,13 +92,13 @@ func TestSwapPreservesStatePerDrive(t *testing.T) {
 	}
 	// An old record is still stale after the swap (duplicate/stale
 	// decisions are model-version-independent).
-	if a := s.Ingest("SER-1", record(0, -0.9)); a != nil {
+	if a := ingest(s, "SER-1", record(0, -0.9)); a != nil {
 		t.Fatalf("stale record alerted after swap: %+v", a)
 	}
 	// A further escalation under the new models alerts, tagged with the
 	// new version (score -0.9 + 0.25 = -0.65, past the critical
 	// threshold).
-	a := s.Ingest("SER-1", record(2, -0.9))
+	a := ingest(s, "SER-1", record(2, -0.9))
 	if a == nil || a.ModelVersion != 2 || a.Severity != monitor.Critical {
 		t.Fatalf("post-swap alert = %+v, want version-2 critical", a)
 	}
@@ -140,7 +140,7 @@ func TestSwapBarrierUnderLoad(t *testing.T) {
 			// Swaps race the ingest load; each lands between two batches,
 			// never inside one.
 			for v := 2; v <= 12; v++ {
-				if err := s.SwapModels(swappedModels(float64(v)/100), testNormalizer(), v); err != nil {
+				if err := s.SwapModels(swappedModels(float64(v)/100), hddNorms(), v); err != nil {
 					t.Error(err)
 				}
 			}
@@ -177,12 +177,12 @@ func TestRestoreAfterSwap(t *testing.T) {
 	cfg := Config{Shards: 4, Monitor: monitor.Config{Smoothing: 1}, HistoryHours: 50}
 	s := testStore(t, cfg)
 	s.IngestBatch(buildStream(30, 10))
-	if err := s.SwapModels(swappedModels(0.5), testNormalizer(), 3); err != nil {
+	if err := s.SwapModels(swappedModels(0.5), hddNorms(), 3); err != nil {
 		t.Fatal(err)
 	}
 	// Post-swap traffic shapes state under the new version.
 	for d := 0; d < 30; d++ {
-		s.Ingest(fmt.Sprintf("SER-%04d", d), record(11, 0.4))
+		ingest(s, fmt.Sprintf("SER-%04d", d), record(11, 0.4))
 	}
 
 	st := s.ExportState()
@@ -201,10 +201,114 @@ func TestRestoreAfterSwap(t *testing.T) {
 	}
 	// The restored store keeps scoring under the promoted models, and a
 	// swap to a version at or below the restored one is still refused.
-	if err := restored.SwapModels(swappedModels(0.1), testNormalizer(), 3); err == nil {
+	if err := restored.SwapModels(swappedModels(0.1), hddNorms(), 3); err == nil {
 		t.Fatal("restored store accepted a swap to its own version")
 	}
-	if a := restored.Ingest("SER-0001", record(12, -3)); a == nil || a.ModelVersion != 3 {
+	if a := ingest(restored, "SER-0001", record(12, -3)); a == nil || a.ModelVersion != 3 {
 		t.Fatalf("restored store alert = %+v, want version-3 alert", a)
 	}
+}
+
+// classModels returns the models of one device class, in order.
+func classModels(models []monitor.GroupModel, c smart.DeviceClass) []monitor.GroupModel {
+	var out []monitor.GroupModel
+	for _, m := range models {
+		if m.Class == c {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestSwapModelsPreservesAbsentClass swaps one class, the other, and
+// both on a mixed store. A class absent from the incoming set keeps its
+// models and normalizer, its drives keep scoring with the severities an
+// unswapped store assigns, and the swapped store round-trips through
+// Restore.
+func TestSwapModelsPreservesAbsentClass(t *testing.T) {
+	stream := mixedStream(12, 8)
+	half := len(stream) / 2
+	newHDD := swappedModels(0.25)
+	newSSD := swappedModels(-0.25)
+	newSSD[0].Group, newSSD[0].Class = 2, smart.SSD
+	for _, tc := range []struct {
+		name   string
+		models []monitor.GroupModel
+		norms  monitor.ClassNorms
+	}{
+		{"hdd-only", newHDD, monitor.ClassNorms{HDD: testNormalizer()}},
+		{"ssd-only", newSSD, monitor.ClassNorms{SSD: testNormalizer()}},
+		{"both", append(append([]monitor.GroupModel(nil), newHDD...), newSSD...),
+			monitor.ClassNorms{HDD: testNormalizer(), SSD: testNormalizer()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Shards: 4, Monitor: monitor.Config{Smoothing: 1}}
+			ref, s := mixedTestStore(t, cfg), mixedTestStore(t, cfg)
+			ref.IngestBatch(stream[:half])
+			s.IngestBatch(stream[:half])
+			before := s.ExportState()
+			if err := s.SwapModels(tc.models, tc.norms, 2); err != nil {
+				t.Fatal(err)
+			}
+
+			after := s.ExportState()
+			for c := smart.DeviceClass(0); c < smart.NumClasses; c++ {
+				wantModels, wantNorm := classModels(before.Models, c), before.Norms().For(c)
+				if tc.norms.For(c) != nil {
+					wantModels, wantNorm = classModels(tc.models, c), tc.norms.For(c)
+				}
+				if got := classModels(after.Models, c); !reflect.DeepEqual(got, wantModels) {
+					t.Errorf("%v models after swap = %+v, want %+v", c, got, wantModels)
+				}
+				if got := after.Norms().For(c); got != wantNorm {
+					t.Errorf("%v normalizer after swap is %p, want %p", c, got, wantNorm)
+				}
+			}
+
+			// Drives of an absent class score exactly as on the unswapped
+			// store; only the version tag differs.
+			refRes, res := ref.IngestBatch(stream[half:]), s.IngestBatch(stream[half:])
+			for c := smart.DeviceClass(0); c < smart.NumClasses; c++ {
+				if tc.norms.For(c) != nil {
+					continue
+				}
+				want, got := alertsOfClass(refRes.Alerts, c), alertsOfClass(res.Alerts, c)
+				if len(want) == 0 {
+					t.Fatalf("second half raised no %v alerts; the check is vacuous", c)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v alerts after swap = %+v, want %+v", c, got, want)
+				}
+				for _, e := range ref.ExportState().Drives {
+					if e.State.Class != c {
+						continue
+					}
+					if d, _ := s.Drive(e.Serial); d.Severity != e.State.Severity {
+						t.Errorf("%v drive %s severity %v after swap, want %v", c, e.Serial, d.Severity, e.State.Severity)
+					}
+				}
+			}
+
+			restored, err := Restore(s.ExportState(), Config{Shards: 16, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(canonicalState(restored.ExportState()), canonicalState(s.ExportState())) {
+				t.Error("restored state differs from the live swapped store")
+			}
+		})
+	}
+}
+
+// alertsOfClass returns one class's alerts with the model version
+// cleared, so streams scored under different versions compare equal.
+func alertsOfClass(alerts []Alert, c smart.DeviceClass) []Alert {
+	var out []Alert
+	for _, a := range alerts {
+		if a.Class == c {
+			a.ModelVersion = 0
+			out = append(out, a)
+		}
+	}
+	return out
 }

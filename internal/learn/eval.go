@@ -31,11 +31,13 @@ func (s Score) String() string {
 
 // Evaluate replays every held-out drive through a fresh monitor built
 // from the given model set and scores the flag decisions against the
-// harvest labels. It also returns the per-drive decisions (in eval
-// order) so callers can measure agreement between two model sets. The
-// replay fans out per drive via internal/parallel — evaluation runs off
-// the ingest hot path and must not serialize on it.
-func Evaluate(models []monitor.GroupModel, norm *smart.Normalizer, mcfg monitor.Config, eval []EvalDrive, workers int) (Score, []bool, error) {
+// harvest labels. Held-out drives are HDD drives (Harvest keeps only
+// those), scored against the set's HDD models. It also returns the
+// per-drive decisions (in eval order) so callers can measure agreement
+// between two model sets. The replay fans out per drive via
+// internal/parallel — evaluation runs off the ingest hot path and must
+// not serialize on it.
+func Evaluate(models []monitor.GroupModel, norms monitor.ClassNorms, mcfg monitor.Config, eval []EvalDrive, workers int) (Score, []bool, error) {
 	sc := Score{EvalDrives: len(eval)}
 	if len(eval) == 0 {
 		return sc, nil, nil
@@ -45,12 +47,12 @@ func Evaluate(models []monitor.GroupModel, norm *smart.Normalizer, mcfg monitor.
 		err     error
 	}
 	outcomes := parallel.Map(workers, len(eval), func(i int) outcome {
-		m, err := monitor.New(models, norm, mcfg)
+		m, err := monitor.NewMulti(models, norms, mcfg)
 		if err != nil {
 			return outcome{err: fmt.Errorf("learn: evaluating drive %s: %w", eval[i].Serial, err)}
 		}
 		for _, rec := range eval[i].Records {
-			m.Ingest(0, rec)
+			m.IngestClass(0, smart.HDD, rec)
 		}
 		st, ok := m.Status(0)
 		return outcome{flagged: ok && st.Severity >= monitor.Warning}

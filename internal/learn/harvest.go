@@ -70,7 +70,10 @@ type HarvestResult struct {
 }
 
 // Harvest extracts labeled training profiles and a held-out evaluation
-// cohort from a fleet state's retained drive histories. It is
+// cohort from a fleet state's retained HDD drive histories. The cycle
+// retrains the HDD population only: SSD drives fail differently and
+// must never enter the cohort that trains and scores HDD models, so
+// they are passed over (and not counted as skipped). It is
 // deterministic: State.Drives is sorted by serial and the holdout split
 // hashes serials, so the same state always yields the same harvest.
 func Harvest(st *fleet.State) (*HarvestResult, error) {
@@ -80,6 +83,9 @@ func Harvest(st *fleet.State) (*HarvestResult, error) {
 	res := &HarvestResult{}
 	digest := fnv.New64a()
 	for _, e := range st.Drives {
+		if e.State.Class != smart.HDD {
+			continue
+		}
 		n := len(e.History)
 		if n < harvestMinRecords {
 			res.Skipped++

@@ -2,6 +2,8 @@ package learn
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"disksig/internal/core"
@@ -147,6 +149,8 @@ func evalNormalizer() *smart.Normalizer {
 	return n
 }
 
+func evalNorms() monitor.ClassNorms { return monitor.ClassNorms{HDD: evalNormalizer()} }
+
 func evalModels() []monitor.GroupModel {
 	return []monitor.GroupModel{{
 		Group:     1,
@@ -178,7 +182,7 @@ func TestEvaluateScoring(t *testing.T) {
 		flatDrive("tn-1", false, 0.9),  // healthy, clean
 		flatDrive("tn-2", false, 0.9),
 	}
-	sc, flags, err := Evaluate(evalModels(), evalNormalizer(), monitor.Config{Smoothing: 1}, eval, 2)
+	sc, flags, err := Evaluate(evalModels(), evalNorms(), monitor.Config{Smoothing: 1}, eval, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestEvaluateScoring(t *testing.T) {
 		}
 	}
 	// Empty cohort: a zero score, no error.
-	sc, flags, err = Evaluate(evalModels(), evalNormalizer(), monitor.Config{}, nil, 2)
+	sc, flags, err = Evaluate(evalModels(), evalNorms(), monitor.Config{}, nil, 2)
 	if err != nil || sc.EvalDrives != 0 || flags != nil {
 		t.Fatalf("empty eval = %+v, %v, %v", sc, flags, err)
 	}
@@ -211,7 +215,7 @@ func TestEvaluateScoring(t *testing.T) {
 func TestRetrainOnceSkipsSmallCohort(t *testing.T) {
 	// A store with a handful of drives: the cycle must report a skipped
 	// promotion (cohort too small), not an error, and never call Promote.
-	store, err := fleet.New(evalModels(), evalNormalizer(), fleet.Config{Shards: 2, HistoryHours: 100})
+	store, err := fleet.New(evalModels(), evalNorms(), fleet.Config{Shards: 2, HistoryHours: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestRetrainOnceSkipsSmallCohort(t *testing.T) {
 		for h := 0; h < 30; h++ {
 			var v smart.Values
 			v[smart.RRER] = 0.9
-			store.Ingest(serial, smart.Record{Hour: h, Values: v})
+			store.IngestBatch([]fleet.Observation{{Serial: serial, Record: smart.Record{Hour: h, Values: v}}})
 		}
 	}
 	r := &Retrainer{
@@ -240,5 +244,92 @@ func TestRetrainOnceSkipsSmallCohort(t *testing.T) {
 	}
 	if res.Reason == "" || res.ServingVersion != 1 || res.CandidateVersion != 2 {
 		t.Fatalf("skipped cycle result = %+v", res)
+	}
+}
+
+// TestRetrainOnceMixedStore retrains a store serving HDD and SSD drives.
+// The cycle must harvest and score the HDD population only, and a
+// promotion must leave the SSD model set and normalizer as they were.
+func TestRetrainOnceMixedStore(t *testing.T) {
+	ssd := evalModels()[0]
+	ssd.Group, ssd.Class = 2, smart.SSD
+	ssdNorm := evalNormalizer()
+	store, err := fleet.New(append(evalModels(), ssd), monitor.ClassNorms{HDD: evalNormalizer(), SSD: ssdNorm},
+		fleet.Config{Shards: 2, HistoryHours: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SSD histories sit at a base no HDD history uses, so any SSD record
+	// that reaches the training cohort is recognizable.
+	const hddBase, ssdBase = 95, 80
+	for d := 0; d < 30; d++ {
+		drop := 0.0
+		if d%2 == 0 {
+			drop = 25
+		}
+		var obs []fleet.Observation
+		for _, rec := range history(60, smart.RRER, hddBase, drop) {
+			obs = append(obs, fleet.Observation{Serial: fmt.Sprintf("hdd-%02d", d), Record: rec})
+		}
+		for _, rec := range history(60, smart.RRER, ssdBase, drop) {
+			obs = append(obs, fleet.Observation{Serial: fmt.Sprintf("ssd-%02d", d), Class: smart.SSD, Record: rec})
+		}
+		store.IngestBatch(obs)
+	}
+
+	h, err := Harvest(store.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(h.Failed) + len(h.Good) + len(h.Eval); n != 30 || h.Skipped != 0 {
+		t.Fatalf("harvested %d drives (%d skipped), want the 30 HDD drives", n, h.Skipped)
+	}
+	for _, p := range append(append([]*smart.Profile(nil), h.Failed...), h.Good...) {
+		if p.Records[0].Values[smart.SER] != hddBase {
+			t.Fatalf("training profile %d carries SSD telemetry", p.DriveID)
+		}
+	}
+	for _, e := range h.Eval {
+		if !strings.HasPrefix(e.Serial, "hdd-") {
+			t.Fatalf("SSD drive %s in the held-out cohort", e.Serial)
+		}
+	}
+
+	before := store.ExportState()
+	r := &Retrainer{
+		Store: store,
+		Cfg:   Config{Core: core.Config{Seed: 1}},
+		Promote: func(art *persist.ModelArtifact) error {
+			return store.SwapModels(art.Models, art.Norms(), art.Version)
+		},
+	}
+	res, err := r.RetrainOnce(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedDrives+res.GoodDrives+res.EvalDrives != 30 {
+		t.Fatalf("cycle cohorts = %d failed / %d good / %d eval, want 30 HDD drives in all", res.FailedDrives, res.GoodDrives, res.EvalDrives)
+	}
+	if !res.Promoted {
+		t.Fatalf("candidate not promoted: %s", res.Reason)
+	}
+	after := store.ExportState()
+	if after.ModelVersion != 2 {
+		t.Fatalf("model version %d after promotion, want 2", after.ModelVersion)
+	}
+	var gotSSD []monitor.GroupModel
+	for _, m := range after.Models {
+		if m.Class == smart.SSD {
+			gotSSD = append(gotSSD, m)
+		}
+	}
+	if !reflect.DeepEqual(gotSSD, []monitor.GroupModel{ssd}) {
+		t.Errorf("SSD models after promotion = %+v, want the serving SSD model", gotSSD)
+	}
+	if after.SSDNorm != ssdNorm {
+		t.Error("promotion replaced the SSD normalizer")
+	}
+	if after.Norm == before.Norm {
+		t.Error("promotion kept the serving HDD normalizer")
 	}
 }

@@ -121,7 +121,7 @@ func (r *Retrainer) RetrainOnce(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("learn: characterizing harvested fleet: %w", err)
 	}
-	candModels, err := monitor.ModelsFromCharacterization(ch)
+	candModels, candNorms, err := monitor.ModelsFromCharacterization(ch)
 	if err != nil {
 		return nil, fmt.Errorf("learn: extracting candidate models: %w", err)
 	}
@@ -132,11 +132,11 @@ func (r *Retrainer) RetrainOnce(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	serving, servFlags, err := Evaluate(st.Models, st.Norm, st.MonitorCfg, h.Eval, cfg.Core.Workers)
+	serving, servFlags, err := Evaluate(st.Models, st.Norms(), st.MonitorCfg, h.Eval, cfg.Core.Workers)
 	if err != nil {
 		return nil, err
 	}
-	candidate, candFlags, err := Evaluate(candModels, ch.Dataset.Norm, st.MonitorCfg, h.Eval, cfg.Core.Workers)
+	candidate, candFlags, err := Evaluate(candModels, candNorms, st.MonitorCfg, h.Eval, cfg.Core.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func (r *Retrainer) RetrainOnce(ctx context.Context) (*Result, error) {
 		FailedDrives:   len(h.Failed),
 		GoodDrives:     len(h.Good),
 		Models:         candModels,
-		Norm:           ch.Dataset.Norm,
+		Norm:           candNorms.HDD,
 		Notes:          res.Notes,
 	}
 	promoteStart := time.Now()

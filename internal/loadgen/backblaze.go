@@ -104,15 +104,11 @@ func RunBackblaze(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 	if err != nil {
 		return rep, err
 	}
-	shadow, err := NewShadowMulti(models, norms, fleet.Config{Monitor: dep.Monitor})
+	shadow, err := NewShadow(models, norms, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		return rep, err
 	}
-	store, err := fleet.NewMulti(models, norms, dep.fleetConfig())
-	if err != nil {
-		return rep, err
-	}
-	h, err := StartHarnessStore(store, server.Config{MaxInFlight: 256})
+	h, err := StartHarness(models, norms, dep.fleetConfig(), server.Config{MaxInFlight: 256})
 	if err != nil {
 		return rep, err
 	}
@@ -146,7 +142,7 @@ func RunBackblaze(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 	}
 
 	rep.addCheck("final-state-matches-shadow",
-		CompareStates("shadow", "served", shadow.State(), CanonicalState(store)))
+		CompareStates("shadow", "served", shadow.State(), CanonicalState(h.Store)))
 	rep.addCheck("alerts-match-shadow",
 		CompareAlerts("shadow", "http", shadow.AlertKeys(), stats.AlertKeys, false))
 	_, kept, _, merr := MetricsInvariant(h.URL, int64(CountRecords(queues)))
@@ -154,15 +150,7 @@ func RunBackblaze(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 	brep.IngestKept = kept
 
 	// Per-class ingest counters must reflect the detected populations.
-	var met struct {
-		Ingest struct {
-			HDD int64 `json:"rows_hdd"`
-			SSD int64 `json:"rows_ssd"`
-		} `json:"ingest"`
-	}
-	if err := fetchJSON(h.URL+"/metrics", &met); err == nil {
-		brep.IngestHDD, brep.IngestSSD = met.Ingest.HDD, met.Ingest.SSD
-	}
+	brep.IngestHDD, brep.IngestSSD = classIngestRows(h.URL)
 	var rowsErr error
 	if brep.HDDDrives > 0 && brep.IngestHDD == 0 {
 		rowsErr = fmt.Errorf("%d HDD drives replayed but rows_hdd is 0", brep.HDDDrives)
@@ -171,7 +159,7 @@ func RunBackblaze(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 	}
 	rep.addCheck("per-class-ingest-counters", rowsErr)
 
-	brep.Fingerprint = StateFingerprint(CanonicalState(store))
+	brep.Fingerprint = StateFingerprint(CanonicalState(h.Store))
 	rep.SummaryFingerprint = brep.Fingerprint
 	rep.finish()
 	return rep, nil

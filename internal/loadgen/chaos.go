@@ -10,16 +10,12 @@ import (
 	"disksig/internal/server"
 )
 
-// RunChaos is the kill/warm-restart schedule: a persisted server
-// ingests the first part of the stream (with a mid-stream snapshot so
-// recovery mixes snapshot and WAL replay), is killed mid-stream — the
-// HTTP layer drains like SIGTERM, but the state directory is abandoned
-// without a final snapshot or a clean close, exactly what a crash
-// leaves behind — then warm-restarts at a different shard count. The
-// scenario passes only if the restored store matches the shadow
-// monitor record-for-record at the kill point, the replay then
-// finishes with the final state, alert stream and metrics ledger all
-// matching the shadow.
+// RunChaos is the kill/warm-restart schedule (see killRestartDrill)
+// over the deployment's trained models. The scenario passes only if the
+// restored store matches the shadow monitor record-for-record at the
+// kill point, keeps its model version, and the replay then finishes
+// with the final state, alert stream and metrics ledger all matching
+// the shadow.
 func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*ScenarioReport, error) {
 	rep := &ScenarioReport{Name: "chaos"}
 	if cfg.ChaosStateDir == "" {
@@ -29,27 +25,43 @@ func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 	if err != nil {
 		return rep, err
 	}
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	return rep, killRestartDrill(ctx, dep, cfg, wl, rep, nil)
+}
+
+// killRestartDrill replays wl against dep's model sets: a persisted
+// server ingests the first part of the stream (with a mid-stream
+// snapshot so recovery mixes snapshot and WAL replay), is killed
+// mid-stream — the HTTP layer drains like SIGTERM, but the state
+// directory is abandoned without a final snapshot or a clean close,
+// exactly what a crash leaves behind — then warm-restarts at a
+// different shard count and finishes the stream, verified against a
+// shadow the whole way. Phases and checks land in rep, which the drill
+// finishes. A phase, kill, restore or restart failure is a failed check
+// that ends the drill early; setup failures are returned. extra, when
+// non-nil, adds checks against the restarted server's URL after the
+// drill's own.
+func killRestartDrill(ctx context.Context, dep Deployment, cfg ScenarioConfig, wl *Workload, rep *ScenarioReport, extra func(url string)) error {
+	shadow, err := NewShadow(dep.Models, dep.Norms, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
-		return rep, err
+		return err
 	}
 
 	// Process 1: a persisted store, seed-snapshotted before serving so
 	// the trained models are durable from the first batch.
 	mgr, err := persist.Open(cfg.ChaosStateDir)
 	if err != nil {
-		return rep, err
+		return err
 	}
-	store, err := fleet.New(dep.Models, dep.Norm, dep.fleetConfig())
+	store, err := fleet.New(dep.Models, dep.Norms, dep.fleetConfig())
 	if err != nil {
-		return rep, err
+		return err
 	}
 	if _, err := mgr.Snapshot(store); err != nil {
-		return rep, fmt.Errorf("loadgen: seed snapshot: %w", err)
+		return fmt.Errorf("loadgen: seed snapshot: %w", err)
 	}
 	h1, err := StartHarnessStore(store, server.Config{MaxInFlight: 256, Persist: mgr})
 	if err != nil {
-		return rep, err
+		return err
 	}
 	drv := &Driver{BaseURL: h1.URL, Log: dep.Log}
 
@@ -79,29 +91,30 @@ func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 	if err := runPhase("pre-snapshot", chunks[0]); err != nil {
 		rep.addCheck("phase", err)
 		rep.finish()
-		return rep, nil
+		return nil
 	}
 	if err := AdminSnapshot(h1.URL); err != nil {
 		rep.addCheck("mid-stream-snapshot", err)
 		rep.finish()
-		return rep, nil
+		return nil
 	}
 	if err := runPhase("pre-kill", chunks[1]); err != nil {
 		rep.addCheck("phase", err)
 		rep.finish()
-		return rep, nil
+		return nil
 	}
 
 	// Kill: drain the HTTP layer (SIGTERM semantics for in-flight
 	// requests), then abandon the persist manager — no final snapshot,
 	// no Close. The WAL alone carries chunk 1.
+	versionBefore := h1.Store.ModelVersion()
 	killCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	err = h1.Stop(killCtx)
 	cancel()
 	if err != nil {
 		rep.addCheck("kill", err)
 		rep.finish()
-		return rep, nil
+		return nil
 	}
 
 	// Warm restart at a different shard count.
@@ -112,7 +125,7 @@ func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 	if err != nil {
 		rep.addCheck("restore", err)
 		rep.finish()
-		return rep, nil
+		return nil
 	}
 	defer mgr2.Close()
 	rep.Recovery = &RecoveryReport{
@@ -140,13 +153,18 @@ func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 		recErr = fmt.Errorf("recovery replayed %d WAL batches, want %d (the post-snapshot chunk)", rec.WALBatches, wantBatches)
 	}
 	rep.addCheck("recovery-accounting", recErr)
+	var verErr error
+	if got := store2.ModelVersion(); got != versionBefore {
+		verErr = fmt.Errorf("restored model version %d, want %d (the serving model sets must survive the restart)", got, versionBefore)
+	}
+	rep.addCheck("model-version-preserved", verErr)
 
 	// Process 2: finish the stream against the restored store.
 	h2, err := StartHarnessStore(store2, server.Config{MaxInFlight: 256, Persist: mgr2})
 	if err != nil {
 		rep.addCheck("restart", err)
 		rep.finish()
-		return rep, nil
+		return nil
 	}
 	defer func() {
 		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -157,7 +175,7 @@ func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 	if err := runPhase("post-restore", chunks[2]); err != nil {
 		rep.addCheck("phase", err)
 		rep.finish()
-		return rep, nil
+		return nil
 	}
 	rep.Alerts = len(alerts)
 
@@ -169,7 +187,10 @@ func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 	// seen exactly the post-restore chunk.
 	_, _, _, merr := MetricsInvariant(h2.URL, int64(CountRecords(chunks[2])))
 	rep.addCheck("metrics-invariant", merr)
+	if extra != nil {
+		extra(h2.URL)
+	}
 	rep.SummaryFingerprint = StateFingerprint(CanonicalState(store2))
 	rep.finish()
-	return rep, nil
+	return nil
 }

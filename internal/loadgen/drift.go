@@ -63,7 +63,7 @@ func RunDrift(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 
 	fcfg := dep.fleetConfig()
 	fcfg.HistoryHours = driftHistoryHours
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor, HistoryHours: driftHistoryHours})
+	shadow, err := NewShadow(dep.Models, dep.Norms, fleet.Config{Monitor: dep.Monitor, HistoryHours: driftHistoryHours})
 	if err != nil {
 		return rep, err
 	}
@@ -72,7 +72,7 @@ func RunDrift(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 	if err != nil {
 		return rep, err
 	}
-	store, err := fleet.New(dep.Models, dep.Norm, fcfg)
+	store, err := fleet.New(dep.Models, dep.Norms, fcfg)
 	if err != nil {
 		return rep, err
 	}
@@ -92,7 +92,7 @@ func RunDrift(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 				return err
 			}
 			_, err := mgr.SnapshotWith(store, func() error {
-				return store.SwapModels(art.Models, art.Norm, art.Version)
+				return store.SwapModels(art.Models, art.Norms(), art.Version)
 			})
 			return err
 		},
@@ -296,7 +296,7 @@ func RunDrift(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 		rep.finish()
 		return rep, nil
 	}
-	if err := shadow.Store().SwapModels(art.Models, art.Norm, art.Version); err != nil {
+	if err := shadow.Store().SwapModels(art.Models, art.Norms(), art.Version); err != nil {
 		rep.addCheck("shadow-swap", err)
 		rep.finish()
 		return rep, nil

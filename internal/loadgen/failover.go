@@ -49,7 +49,7 @@ func RunFailover(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scen
 	if err != nil {
 		return rep, err
 	}
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	shadow, err := NewShadow(dep.Models, dep.Norms, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		return rep, err
 	}
@@ -60,7 +60,7 @@ func RunFailover(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scen
 		return rep, err
 	}
 	defer mgr1.Close()
-	store1, err := fleet.New(dep.Models, dep.Norm, dep.fleetConfig())
+	store1, err := fleet.New(dep.Models, dep.Norms, dep.fleetConfig())
 	if err != nil {
 		return rep, err
 	}

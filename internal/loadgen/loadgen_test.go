@@ -43,7 +43,7 @@ func testDeployment(t *testing.T) Deployment {
 			WindowD:   12,
 			Predictor: rampPredictor{},
 		}},
-		Norm:    norm,
+		Norms:   monitor.ClassNorms{HDD: norm},
 		Monitor: monitor.Config{Smoothing: 1},
 		Shards:  4,
 	}
@@ -201,11 +201,11 @@ func TestChunkQueuesPartitions(t *testing.T) {
 func TestDriverDeliversEverythingOnce(t *testing.T) {
 	dep := testDeployment(t)
 	wl := WorkloadFromDrives(testDrives(), 4)
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	shadow, err := NewShadow(dep.Models, dep.Norms, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{MaxInFlight: 16})
+	h, err := StartHarness(dep.Models, dep.Norms, dep.fleetConfig(), server.Config{MaxInFlight: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDriverDeliversEverythingOnce(t *testing.T) {
 func TestDriverRetriesShedBatches(t *testing.T) {
 	dep := testDeployment(t)
 	wl := WorkloadFromDrives(testDrives(), 2)
-	h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{
+	h, err := StartHarness(dep.Models, dep.Norms, dep.fleetConfig(), server.Config{
 		MaxInFlight: 1,
 		IngestDelay: 5 * time.Millisecond,
 	})
@@ -304,11 +304,11 @@ func TestScenariosEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := monitor.ModelsFromCharacterization(ch)
+	models, norms, err := monitor.ModelsFromCharacterization(ch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep := Deployment{Models: models, Norm: ch.Dataset.Norm, Shards: 4}
+	dep := Deployment{Models: models, Norms: norms, Shards: 4}
 	cfg := ScenarioConfig{
 		Workload:        DefaultWorkloadConfig(synth.ScaleSmall, 1),
 		Clients:         3,
@@ -409,6 +409,23 @@ func TestScenariosEndToEnd(t *testing.T) {
 	}
 	if mx.Mixed.HDDRows == 0 || mx.Mixed.SSDRows == 0 {
 		t.Fatalf("mixed per-class ingest counters = %+v", mx.Mixed)
+	}
+	// Chaos and mixed share one kill/warm-restart drill: every chaos
+	// check, model-version-preserved included, also runs on the mixed
+	// fleet.
+	mixedChecks := map[string]bool{}
+	for _, ck := range mx.Checks {
+		mixedChecks[ck.Name] = true
+	}
+	chaosChecks := map[string]bool{}
+	for _, ck := range c.Checks {
+		chaosChecks[ck.Name] = true
+		if !mixedChecks[ck.Name] {
+			t.Errorf("mixed scenario lacks chaos check %q", ck.Name)
+		}
+	}
+	if !chaosChecks["model-version-preserved"] {
+		t.Error("chaos scenario lacks the model-version-preserved check")
 	}
 
 	bcfg := cfg

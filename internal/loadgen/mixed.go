@@ -3,28 +3,22 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"disksig/internal/core"
-	"disksig/internal/fleet"
 	"disksig/internal/monitor"
-	"disksig/internal/persist"
 	"disksig/internal/quality"
-	"disksig/internal/server"
 	"disksig/internal/smart"
 	"disksig/internal/synth"
 )
 
 // RunMixed is the heterogeneous-fleet drill: a mixed HDD+SSD fleet is
 // characterized class by class (each class must recover its own group
-// structure with zero cross-class contamination), the per-class model
-// sets serve a mixed workload through the real HTTP stack, and the
-// stream survives a mid-stream kill + warm restart at a different shard
-// count — verified record-for-record against a shadow the whole way.
-// On top of the chaos-style invariants, the scenario checks the
-// class-facing surface: the summary's per-class roll-up accounts for
-// every drive, both classes raise alerts, and per-class ingest counters
-// balance.
+// structure with zero cross-class contamination), then the per-class
+// model sets serve a mixed workload through the chaos scenario's
+// kill/warm-restart drill. On top of the drill's invariants, the
+// scenario checks the class-facing surface: the summary's per-class
+// roll-up accounts for every drive, both classes raise alerts, and
+// per-class ingest counters balance.
 func RunMixed(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*ScenarioReport, error) {
 	rep := &ScenarioReport{Name: "mixed"}
 	if cfg.ChaosStateDir == "" {
@@ -89,165 +83,36 @@ func RunMixed(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 		return rep, nil
 	}
 
-	shadow, err := NewShadowMulti(models, norms, fleet.Config{Monitor: dep.Monitor})
-	if err != nil {
-		return rep, err
-	}
-
-	// Process 1: a persisted mixed store, seed-snapshotted so the
-	// per-class model sets are durable from the first batch.
-	mgr, err := persist.Open(cfg.ChaosStateDir)
-	if err != nil {
-		return rep, err
-	}
-	store, err := fleet.NewMulti(models, norms, dep.fleetConfig())
-	if err != nil {
-		return rep, err
-	}
-	if _, err := mgr.Snapshot(store); err != nil {
-		return rep, fmt.Errorf("loadgen: seed snapshot: %w", err)
-	}
-	h1, err := StartHarnessStore(store, server.Config{MaxInFlight: 256, Persist: mgr})
-	if err != nil {
-		return rep, err
-	}
-	drv := &Driver{BaseURL: h1.URL, Log: dep.Log}
-
-	clients := cfg.clients()
-	queues := wl.Split(clients)
-	rep.WorkloadFingerprint = Fingerprint(queues)
-	rep.Drives = len(wl.Drives)
-	chunks := ChunkQueues(queues, 3)
-
-	var alerts []string
-	runPhase := func(name string, chunk [][]*Batch) error {
-		stats, err := drv.Run(ctx, Phase{Name: name, Clients: clients}, chunk)
-		if stats != nil {
-			rep.Phases = append(rep.Phases, stats)
-			alerts = append(alerts, stats.AlertKeys...)
-			rep.Records += stats.RecordsSent
+	// The class-facing surface, checked on the restarted server: the
+	// summary's per-class roll-up must account for every tracked drive,
+	// both classes must be alerting (the workload carries failed drives
+	// of both kinds), and the per-class ingest counters must both move.
+	classChecks := func(url string) {
+		rep.addCheck("per-class-summary", checkClassSummary(url, mrep))
+		mrep.HDDRows, mrep.SSDRows = classIngestRows(url)
+		var classRowsErr error
+		if mrep.HDDRows == 0 || mrep.SSDRows == 0 {
+			classRowsErr = fmt.Errorf("per-class ingest counters: %d HDD rows, %d SSD rows (want both > 0)", mrep.HDDRows, mrep.SSDRows)
 		}
-		if err != nil {
-			return err
-		}
-		return shadow.ApplyChunk(chunk)
+		rep.addCheck("per-class-ingest-counters", classRowsErr)
 	}
+	dep.Models, dep.Norms = models, norms
+	return rep, killRestartDrill(ctx, dep, cfg, wl, rep, classChecks)
+}
 
-	if err := runPhase("mixed-steady", chunks[0]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
-	if err := AdminSnapshot(h1.URL); err != nil {
-		rep.addCheck("mid-stream-snapshot", err)
-		rep.finish()
-		return rep, nil
-	}
-	if err := runPhase("mixed-pre-kill", chunks[1]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
-
-	// Kill: SIGTERM drain, then abandon the manager — the WAL alone
-	// carries the post-snapshot chunk, class tails and all.
-	versionBefore := h1.Store.ModelVersion()
-	killCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	err = h1.Stop(killCtx)
-	cancel()
-	if err != nil {
-		rep.addCheck("kill", err)
-		rep.finish()
-		return rep, nil
-	}
-
-	shardsBefore := h1.Store.Shards()
-	restoredCfg := dep.fleetConfig()
-	restoredCfg.Shards = shardsBefore * 2
-	store2, mgr2, rec, restoreDur, err := RestoreStore(cfg.ChaosStateDir, restoredCfg)
-	if err != nil {
-		rep.addCheck("restore", err)
-		rep.finish()
-		return rep, nil
-	}
-	defer mgr2.Close()
-	rep.Recovery = &RecoveryReport{
-		RestoreMs:      float64(restoreDur) / float64(time.Millisecond),
-		SnapshotDrives: rec.SnapshotDrives,
-		WALBatches:     rec.WALBatches,
-		WALRows:        rec.WALRows,
-		ShardsBefore:   shardsBefore,
-		ShardsAfter:    store2.Shards(),
-	}
-
-	rep.addCheck("restored-state-matches-shadow",
-		CompareStates("shadow@kill", "restored", shadow.State(), CanonicalState(store2)))
-	var recErr error
-	wantBatches := 0
-	for _, q := range chunks[1] {
-		wantBatches += len(q)
-	}
-	if rec.TornTail || rec.StaleWAL {
-		recErr = fmt.Errorf("clean kill recovered with TornTail=%v StaleWAL=%v", rec.TornTail, rec.StaleWAL)
-	} else if rec.WALBatches != wantBatches {
-		recErr = fmt.Errorf("recovery replayed %d WAL batches, want %d (the post-snapshot chunk)", rec.WALBatches, wantBatches)
-	}
-	rep.addCheck("recovery-accounting", recErr)
-	var verErr error
-	if got := store2.ModelVersion(); got != versionBefore {
-		verErr = fmt.Errorf("restored model version %d, want %d (per-class sets must survive the restart)", got, versionBefore)
-	}
-	rep.addCheck("model-version-preserved", verErr)
-
-	// Process 2: finish the stream against the restored store.
-	h2, err := StartHarnessStore(store2, server.Config{MaxInFlight: 256, Persist: mgr2})
-	if err != nil {
-		rep.addCheck("restart", err)
-		rep.finish()
-		return rep, nil
-	}
-	defer func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer scancel()
-		h2.Stop(sctx)
-	}()
-	drv.SetBaseURL(h2.URL)
-	if err := runPhase("mixed-post-restore", chunks[2]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
-	rep.Alerts = len(alerts)
-
-	rep.addCheck("final-state-matches-shadow",
-		CompareStates("shadow", "restored+replayed", shadow.State(), CanonicalState(store2)))
-	rep.addCheck("alerts-match-shadow",
-		CompareAlerts("shadow", "http", shadow.AlertKeys(), alerts, false))
-	_, _, _, merr := MetricsInvariant(h2.URL, int64(CountRecords(chunks[2])))
-	rep.addCheck("metrics-invariant", merr)
-
-	// The class-facing surface: the summary's per-class roll-up must
-	// account for every tracked drive, and both classes must be alerting
-	// (the workload carries failed drives of both kinds).
-	rep.addCheck("per-class-summary", checkClassSummary(h2.URL, mrep))
+// classIngestRows reads the per-class ingest counters from /metrics;
+// both are zero when the fetch fails.
+func classIngestRows(baseURL string) (hdd, ssd int64) {
 	var met struct {
 		Ingest struct {
 			HDD int64 `json:"rows_hdd"`
 			SSD int64 `json:"rows_ssd"`
 		} `json:"ingest"`
 	}
-	if err := fetchJSON(h2.URL+"/metrics", &met); err == nil {
-		mrep.HDDRows, mrep.SSDRows = met.Ingest.HDD, met.Ingest.SSD
+	if err := fetchJSON(baseURL+"/metrics", &met); err != nil {
+		return 0, 0
 	}
-	var classRowsErr error
-	if mrep.HDDRows == 0 || mrep.SSDRows == 0 {
-		classRowsErr = fmt.Errorf("per-class ingest counters: %d HDD rows, %d SSD rows (want both > 0)", mrep.HDDRows, mrep.SSDRows)
-	}
-	rep.addCheck("per-class-ingest-counters", classRowsErr)
-
-	rep.SummaryFingerprint = StateFingerprint(CanonicalState(store2))
-	rep.finish()
-	return rep, nil
+	return met.Ingest.HDD, met.Ingest.SSD
 }
 
 // checkClassSummary fetches /v1/fleet/summary and validates the by_class

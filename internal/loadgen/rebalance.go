@@ -84,7 +84,7 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 	if err != nil {
 		return rep, err
 	}
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	shadow, err := NewShadow(dep.Models, dep.Norms, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		return rep, err
 	}
@@ -103,7 +103,7 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 	startNode := func(i int) (*Harness, error) {
 		fcfg := dep.fleetConfig()
 		fcfg.Shards = i + 1
-		return StartHarness(dep.Models, dep.Norm, fcfg, server.Config{MaxInFlight: 256})
+		return StartHarness(dep.Models, dep.Norms, fcfg, server.Config{MaxInFlight: 256})
 	}
 	for i := 0; i < 3; i++ {
 		h, err := startNode(i)
@@ -453,7 +453,7 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 	// shared runners); the committed BENCH_loadgen.json carries the
 	// real margin.
 	measure := func(f Format, viaRouter bool) (float64, error) {
-		h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{MaxInFlight: 256})
+		h, err := StartHarness(dep.Models, dep.Norms, dep.fleetConfig(), server.Config{MaxInFlight: 256})
 		if err != nil {
 			return 0, err
 		}

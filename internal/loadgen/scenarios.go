@@ -9,14 +9,14 @@ import (
 	"disksig/internal/fleet"
 	"disksig/internal/monitor"
 	"disksig/internal/server"
-	"disksig/internal/smart"
 )
 
 // Deployment is everything a scenario needs to stand up servers and
-// shadows: the trained scoring models plus the deployment knobs.
+// shadows: the trained scoring models with their per-class normalizers,
+// plus the deployment knobs.
 type Deployment struct {
 	Models  []monitor.GroupModel
-	Norm    *smart.Normalizer
+	Norms   monitor.ClassNorms
 	Monitor monitor.Config
 	// Shards and Workers configure the system under test's store; the
 	// shadow always runs with defaults (layout independence is part of
@@ -105,11 +105,11 @@ func RunSteady(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenar
 	if err != nil {
 		return rep, err
 	}
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	shadow, err := NewShadow(dep.Models, dep.Norms, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		return rep, err
 	}
-	h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{
+	h, err := StartHarness(dep.Models, dep.Norms, dep.fleetConfig(), server.Config{
 		MaxInFlight: 256,
 		Log:         nil,
 	})
@@ -211,7 +211,7 @@ func RunFormatCompare(ctx context.Context, dep Deployment, cfg ScenarioConfig) (
 	if err != nil {
 		return rep, err
 	}
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	shadow, err := NewShadow(dep.Models, dep.Norms, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		return rep, err
 	}
@@ -225,7 +225,7 @@ func RunFormatCompare(ctx context.Context, dep Deployment, cfg ScenarioConfig) (
 	rep.Drives = len(wl.Drives)
 
 	runFormat := func(f Format) (*formatOutcome, error) {
-		h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{
+		h, err := StartHarness(dep.Models, dep.Norms, dep.fleetConfig(), server.Config{
 			MaxInFlight: 256,
 		})
 		if err != nil {
@@ -350,11 +350,11 @@ func RunRamp(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenario
 	if err != nil {
 		return rep, err
 	}
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	shadow, err := NewShadow(dep.Models, dep.Norms, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		return rep, err
 	}
-	h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{
+	h, err := StartHarness(dep.Models, dep.Norms, dep.fleetConfig(), server.Config{
 		MaxInFlight: maxInFlight,
 		// QueueWait 0: shed immediately at the limit, so the shed point
 		// in the ladder is sharp. IngestDelay holds each request's

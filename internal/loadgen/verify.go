@@ -9,7 +9,6 @@ import (
 
 	"disksig/internal/fleet"
 	"disksig/internal/monitor"
-	"disksig/internal/smart"
 )
 
 // This file is the replay-verification toolkit shared by the diskload
@@ -223,18 +222,8 @@ type Shadow struct {
 
 // NewShadow builds a shadow store. The shard count is free to differ
 // from the system under test — CanonicalState is layout-independent.
-func NewShadow(models []monitor.GroupModel, norm *smart.Normalizer, cfg fleet.Config) (*Shadow, error) {
-	store, err := fleet.New(models, norm, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: building shadow store: %w", err)
-	}
-	return &Shadow{store: store}, nil
-}
-
-// NewShadowMulti is NewShadow for class-stamped model sets (mixed
-// HDD+SSD fleets).
-func NewShadowMulti(models []monitor.GroupModel, norms monitor.ClassNorms, cfg fleet.Config) (*Shadow, error) {
-	store, err := fleet.NewMulti(models, norms, cfg)
+func NewShadow(models []monitor.GroupModel, norms monitor.ClassNorms, cfg fleet.Config) (*Shadow, error) {
+	store, err := fleet.New(models, norms, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: building shadow store: %w", err)
 	}

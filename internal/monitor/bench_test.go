@@ -21,7 +21,7 @@ func BenchmarkMonitorScore(b *testing.B) {
 	}
 	for _, drives := range []int{256, 23_395} {
 		b.Run(fmt.Sprintf("drives=%d", drives), func(b *testing.B) {
-			m, err := New(models, testNormalizer(), Config{})
+			m, err := NewMulti(models, hddNorms(), Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -50,7 +50,7 @@ func TestIngestClassRoutesToClassModels(t *testing.T) {
 func TestIngestClassUnservedQuarantined(t *testing.T) {
 	// A monitor built with HDD models only must quarantine SSD records
 	// rather than score flash wear against rotational signatures.
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ type Monitor struct {
 	// tracked counts the slots whose drive is tracked.
 	tracked int
 	quality quality.Report
-	// normBuf is the reusable normalized-vector scratch of Ingest; a
+	// normBuf is the reusable normalized-vector scratch of IngestClass; a
 	// Monitor is single-goroutine (each fleet shard owns one behind its
 	// mutex), so one buffer suffices.
 	normBuf []float64
@@ -263,22 +263,12 @@ func (l *DriveLedger) clone() DriveLedger {
 	return c
 }
 
-// New builds a monitor from trained group models and the fleet
-// normalizer used during training. Every model must be HDD-class (the
-// single-class legacy path); use NewMulti for a mixed fleet.
-func New(models []GroupModel, norm *smart.Normalizer, cfg Config) (*Monitor, error) {
-	for _, m := range models {
-		if m.Class != smart.HDD {
-			return nil, fmt.Errorf("monitor: group %d is %v-class; a mixed model set needs NewMulti", m.Group, m.Class)
-		}
-	}
-	return NewMulti(models, ClassNorms{HDD: norm}, cfg)
-}
-
-// NewMulti builds a monitor serving a heterogeneous fleet: models carry
-// their device class, and norms holds one Eq. (1) normalizer per served
-// class. A class is served iff it has at least one model and a fitted
-// normalizer; records of unserved classes are quarantined on ingest.
+// NewMulti builds a monitor from trained group models and the Eq. (1)
+// normalizers fitted during training: models carry their device class,
+// and norms holds one normalizer per served class (an HDD-only fleet
+// fills just the HDD entry). A class is served iff it has at least one
+// model and a fitted normalizer; records of unserved classes are
+// quarantined on ingest.
 func NewMulti(models []GroupModel, norms ClassNorms, cfg Config) (*Monitor, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("monitor: no group models")
@@ -312,14 +302,15 @@ func NewMulti(models []GroupModel, norms ClassNorms, cfg Config) (*Monitor, erro
 }
 
 // ModelsFromCharacterization extracts the per-group scoring models of a
-// pipeline run that included the prediction stage. It is the hook the
-// fleet store uses to build many monitors (one per shard) from a single
-// training run.
-func ModelsFromCharacterization(ch *core.Characterization) ([]GroupModel, error) {
+// single-population (HDD) pipeline run that included the prediction
+// stage, along with the run's normalizer as the HDD entry of ClassNorms.
+// It is the hook that builds many monitors (one per fleet shard) from a
+// single training run.
+func ModelsFromCharacterization(ch *core.Characterization) ([]GroupModel, ClassNorms, error) {
 	var models []GroupModel
 	for _, gr := range ch.Results {
 		if gr.Prediction == nil {
-			return nil, fmt.Errorf("monitor: group %d has no trained predictor (pipeline ran with SkipPrediction)", gr.Group.Number)
+			return nil, ClassNorms{}, fmt.Errorf("monitor: group %d has no trained predictor (pipeline ran with SkipPrediction)", gr.Group.Number)
 		}
 		gm := GroupModel{
 			Group:     gr.Group.Number,
@@ -337,7 +328,7 @@ func ModelsFromCharacterization(ch *core.Characterization) ([]GroupModel, error)
 		}
 		models = append(models, gm)
 	}
-	return models, nil
+	return models, ClassNorms{HDD: ch.Dataset.Norm}, nil
 }
 
 // ModelsFromMixed extracts the scoring models of a class-partitioned
@@ -353,7 +344,7 @@ func ModelsFromMixed(mc *core.MixedCharacterization) ([]GroupModel, ClassNorms, 
 		if ch == nil {
 			continue
 		}
-		cms, err := ModelsFromCharacterization(ch)
+		cms, _, err := ModelsFromCharacterization(ch)
 		if err != nil {
 			return nil, ClassNorms{}, fmt.Errorf("monitor: %v models: %w", c, err)
 		}
@@ -366,31 +357,17 @@ func ModelsFromMixed(mc *core.MixedCharacterization) ([]GroupModel, ClassNorms, 
 	return models, norms, nil
 }
 
-// FromCharacterization builds a monitor directly from a pipeline run that
-// included the prediction stage.
-func FromCharacterization(ch *core.Characterization, cfg Config) (*Monitor, error) {
-	models, err := ModelsFromCharacterization(ch)
-	if err != nil {
-		return nil, err
-	}
-	return New(models, ch.Dataset.Norm, cfg)
-}
-
-// Ingest scores one raw (vendor health-value) record of a drive. It
-// returns a non-nil alert when the drive's severity escalates.
+// IngestClass scores one raw (vendor health-value) record of a drive of
+// the given device class. It returns a non-nil alert when the drive's
+// severity escalates.
 //
 // Dirty telemetry never corrupts the smoothed-median window: a record
 // with NaN/Inf or out-of-range values is quarantined, a record older
 // than the drive's latest hour is dropped (keep-latest), and a repeated
 // hour replaces the previous sample instead of widening the window.
 // Every such event is counted in Quality.
-func (m *Monitor) Ingest(driveID int, rec smart.Record) *Alert {
-	a, _ := m.IngestClass(driveID, smart.HDD, rec)
-	return a
-}
-
-// IngestClass scores one record of the given device class like Ingest
-// and additionally reports whether the record was kept — it entered (or,
+//
+// IngestClass also reports whether the record was kept — it entered (or,
 // for a repeated hour, replaced the tail of) the smoothing window — as
 // opposed to being quarantined or dropped. Callers that retain raw
 // telemetry for retraining use the kept flag to mirror exactly the

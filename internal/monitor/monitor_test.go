@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"disksig/internal/core"
+	"disksig/internal/dataset"
 	"disksig/internal/predict"
 	"disksig/internal/quality"
 	"disksig/internal/regression"
@@ -44,6 +45,15 @@ func testModels() []GroupModel {
 	}}
 }
 
+// hddNorms serves the HDD test models.
+func hddNorms() ClassNorms { return ClassNorms{HDD: testNormalizer()} }
+
+// ingest scores one HDD record, dropping the kept flag.
+func ingest(m *Monitor, driveID int, rec smart.Record) *Alert {
+	a, _ := m.IngestClass(driveID, smart.HDD, rec)
+	return a
+}
+
 func record(hour int, score float64) smart.Record {
 	var v smart.Values
 	v[smart.RRER] = score
@@ -51,35 +61,35 @@ func record(hour int, score float64) smart.Record {
 }
 
 func TestNewValidation(t *testing.T) {
-	norm := testNormalizer()
-	if _, err := New(nil, norm, Config{}); err == nil {
+	norms := hddNorms()
+	if _, err := NewMulti(nil, norms, Config{}); err == nil {
 		t.Error("expected error for no models")
 	}
-	if _, err := New([]GroupModel{{Group: 1, WindowD: 12}}, norm, Config{}); err == nil {
+	if _, err := NewMulti([]GroupModel{{Group: 1, WindowD: 12}}, norms, Config{}); err == nil {
 		t.Error("expected error for missing predictor")
 	}
-	if _, err := New([]GroupModel{{Group: 1, Predictor: rampPredictor{}}}, norm, Config{}); err == nil {
+	if _, err := NewMulti([]GroupModel{{Group: 1, Predictor: rampPredictor{}}}, norms, Config{}); err == nil {
 		t.Error("expected error for missing window")
 	}
-	if _, err := New(testModels(), smart.NewNormalizer(), Config{}); err == nil {
+	if _, err := NewMulti(testModels(), ClassNorms{HDD: smart.NewNormalizer()}, Config{}); err == nil {
 		t.Error("expected error for unfitted normalizer")
 	}
-	if _, err := New(testModels(), nil, Config{}); err == nil {
+	if _, err := NewMulti(testModels(), ClassNorms{}, Config{}); err == nil {
 		t.Error("expected error for nil normalizer")
 	}
 }
 
 func TestEscalationLadder(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Healthy: no alert.
-	if a := m.Ingest(1, record(0, 0.9)); a != nil {
+	if a := ingest(m, 1, record(0, 0.9)); a != nil {
 		t.Errorf("healthy record alerted: %v", a)
 	}
 	// Watch.
-	a := m.Ingest(1, record(1, 0.3))
+	a := ingest(m, 1, record(1, 0.3))
 	if a == nil || a.Severity != Watch {
 		t.Fatalf("watch alert = %v", a)
 	}
@@ -87,7 +97,7 @@ func TestEscalationLadder(t *testing.T) {
 		t.Errorf("watch-stage drive should have no failure ETA, got %v", a.HoursToFailure)
 	}
 	// Warning: inside the window.
-	a = m.Ingest(1, record(2, -0.2))
+	a = ingest(m, 1, record(2, -0.2))
 	if a == nil || a.Severity != Warning {
 		t.Fatalf("warning alert = %v", a)
 	}
@@ -97,7 +107,7 @@ func TestEscalationLadder(t *testing.T) {
 		t.Errorf("ETA = %v, want %v", a.HoursToFailure, want)
 	}
 	// Critical.
-	a = m.Ingest(1, record(3, -0.8))
+	a = ingest(m, 1, record(3, -0.8))
 	if a == nil || a.Severity != Critical {
 		t.Fatalf("critical alert = %v", a)
 	}
@@ -105,7 +115,7 @@ func TestEscalationLadder(t *testing.T) {
 		t.Errorf("alert string: %q", a.String())
 	}
 	// Staying critical: no repeated alert.
-	if a := m.Ingest(1, record(4, -0.9)); a != nil {
+	if a := ingest(m, 1, record(4, -0.9)); a != nil {
 		t.Errorf("repeated critical alerted: %v", a)
 	}
 	st, ok := m.Status(1)
@@ -118,12 +128,12 @@ func TestEscalationLadder(t *testing.T) {
 }
 
 func TestDeescalationSilent(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(5, record(0, -0.8)) // straight to critical
-	if a := m.Ingest(5, record(1, 0.9)); a != nil {
+	ingest(m, 5, record(0, -0.8)) // straight to critical
+	if a := ingest(m, 5, record(1, 0.9)); a != nil {
 		t.Errorf("de-escalation alerted: %v", a)
 	}
 	st, _ := m.Status(5)
@@ -131,30 +141,30 @@ func TestDeescalationSilent(t *testing.T) {
 		t.Errorf("severity after recovery = %v", st.Severity)
 	}
 	// Re-escalation alerts again.
-	if a := m.Ingest(5, record(2, -0.8)); a == nil {
+	if a := ingest(m, 5, record(2, -0.8)); a == nil {
 		t.Error("re-escalation should alert")
 	}
 }
 
 func TestSmoothingSuppressesSpikes(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 3})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(9, record(0, 0.9))
-	m.Ingest(9, record(1, 0.9))
+	ingest(m, 9, record(0, 0.9))
+	ingest(m, 9, record(1, 0.9))
 	// A single bad sample: the median of {0.9, 0.9, -0.9} is 0.9.
-	if a := m.Ingest(9, record(2, -0.9)); a != nil {
+	if a := ingest(m, 9, record(2, -0.9)); a != nil {
 		t.Errorf("single spike alerted: %v", a)
 	}
 	// Two consecutive bad samples flip the median.
-	if a := m.Ingest(9, record(3, -0.9)); a == nil {
+	if a := ingest(m, 9, record(3, -0.9)); a == nil {
 		t.Error("sustained degradation should alert")
 	}
 }
 
 func TestStatusUnknownDrive(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{})
+	m, err := NewMulti(testModels(), hddNorms(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,18 +203,18 @@ func TestSeverityString(t *testing.T) {
 	}
 }
 
-func TestFromCharacterizationRejectsSkipPrediction(t *testing.T) {
+func TestModelsFromCharacterizationRejectsSkipPrediction(t *testing.T) {
 	ch := &core.Characterization{
 		Results: []*core.GroupResult{{Group: &core.Group{Number: 1}}},
 	}
-	if _, err := FromCharacterization(ch, Config{}); err == nil {
+	if _, _, err := ModelsFromCharacterization(ch); err == nil {
 		t.Error("expected error for missing prediction")
 	}
 }
 
 // TestModelsFromCharacterizationClampsDegenerateWindow pins the fix for
 // the zero-window bug: a tiny group whose members all failed within one
-// sample has MedianD == 0, which used to make New reject the entire
+// sample has MedianD == 0, which used to make NewMulti reject the entire
 // model set ("invalid window") and fail fleet startup.
 func TestModelsFromCharacterizationClampsDegenerateWindow(t *testing.T) {
 	stump, err := tree.Train([][]float64{{0}, {1}, {0}, {1}}, []float64{0, 1, 0, 1}, tree.Config{MinLeaf: 1})
@@ -212,6 +222,7 @@ func TestModelsFromCharacterizationClampsDegenerateWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := &core.Characterization{
+		Dataset: &dataset.Dataset{Norm: testNormalizer()},
 		Results: []*core.GroupResult{
 			{
 				Group:      &core.Group{Number: 1, Type: core.Logical},
@@ -225,9 +236,12 @@ func TestModelsFromCharacterizationClampsDegenerateWindow(t *testing.T) {
 			},
 		},
 	}
-	models, err := ModelsFromCharacterization(ch)
+	models, norms, err := ModelsFromCharacterization(ch)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if norms.HDD != ch.Dataset.Norm || norms.SSD != nil {
+		t.Errorf("norms = %+v, want the run's normalizer as the HDD entry only", norms)
 	}
 	if models[0].WindowD != MinWindowHours {
 		t.Errorf("degenerate window = %v, want clamp to %v", models[0].WindowD, MinWindowHours)
@@ -238,20 +252,20 @@ func TestModelsFromCharacterizationClampsDegenerateWindow(t *testing.T) {
 	if models[1].WindowD != 120 || models[1].Note != "" {
 		t.Errorf("healthy group altered: window %v note %q", models[1].WindowD, models[1].Note)
 	}
-	// The clamped set must pass New's validation (no fleet-wide failure).
-	if _, err := New(models, testNormalizer(), Config{}); err != nil {
-		t.Errorf("New rejected clamped model set: %v", err)
+	// The clamped set must pass NewMulti's validation (no fleet-wide failure).
+	if _, err := NewMulti(models, norms, Config{}); err != nil {
+		t.Errorf("NewMulti rejected clamped model set: %v", err)
 	}
 }
 
 func TestSnapshotAndJSON(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(1, record(0, 0.9))  // healthy
-	m.Ingest(2, record(0, -0.8)) // critical
-	m.Ingest(3, record(0, -0.1)) // warning
+	ingest(m, 1, record(0, 0.9))  // healthy
+	ingest(m, 2, record(0, -0.8)) // critical
+	ingest(m, 3, record(0, -0.1)) // warning
 	snap := m.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot = %d entries", len(snap))
@@ -285,14 +299,14 @@ func TestSnapshotAndJSON(t *testing.T) {
 }
 
 func TestIngestQuarantinesNonFinite(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(7, record(0, 0.9))
+	ingest(m, 7, record(0, 0.9))
 	// A NaN record must be quarantined, not scored: the drive's state and
 	// smoothing window stay untouched.
-	if a := m.Ingest(7, record(1, math.NaN())); a != nil {
+	if a := ingest(m, 7, record(1, math.NaN())); a != nil {
 		t.Errorf("NaN record alerted: %v", a)
 	}
 	st, _ := m.Status(7)
@@ -307,27 +321,27 @@ func TestIngestQuarantinesNonFinite(t *testing.T) {
 		t.Errorf("quality accounting = %d read / %d quarantined", q.RowsRead, q.RowsQuarantined)
 	}
 	// An Inf record likewise.
-	if a := m.Ingest(7, record(1, math.Inf(-1))); a != nil {
+	if a := ingest(m, 7, record(1, math.Inf(-1))); a != nil {
 		t.Errorf("Inf record alerted: %v", a)
 	}
 	if q.RowsQuarantined != 2 {
 		t.Errorf("quarantined = %d after Inf record", q.RowsQuarantined)
 	}
 	// The drive still degrades normally afterwards.
-	if a := m.Ingest(7, record(1, -0.8)); a == nil || a.Severity != Critical {
+	if a := ingest(m, 7, record(1, -0.8)); a == nil || a.Severity != Critical {
 		t.Fatalf("post-quarantine degradation alert = %v", a)
 	}
 }
 
 func TestIngestOutOfOrderDropped(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(8, record(5, 0.9))
+	ingest(m, 8, record(5, 0.9))
 	// A stale record (earlier hour) is dropped: severity stays healthy
 	// even though the stale score is critical.
-	if a := m.Ingest(8, record(3, -0.9)); a != nil {
+	if a := ingest(m, 8, record(3, -0.9)); a != nil {
 		t.Errorf("stale record alerted: %v", a)
 	}
 	st, _ := m.Status(8)
@@ -340,18 +354,18 @@ func TestIngestOutOfOrderDropped(t *testing.T) {
 }
 
 func TestIngestDuplicateHourKeepsLatest(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 3})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(9, record(0, 0.9))
-	m.Ingest(9, record(1, 0.9))
-	m.Ingest(9, record(2, -0.9))
+	ingest(m, 9, record(0, 0.9))
+	ingest(m, 9, record(1, 0.9))
+	ingest(m, 9, record(2, -0.9))
 	// Repeating hour 2 with a healthy score replaces the bad sample
 	// instead of widening the window: the median stays healthy when the
 	// next bad sample arrives (it would flip with {0.9, -0.9, -0.9}).
-	m.Ingest(9, record(2, 0.9))
-	if a := m.Ingest(9, record(3, -0.9)); a != nil {
+	ingest(m, 9, record(2, 0.9))
+	if a := ingest(m, 9, record(3, -0.9)); a != nil {
 		t.Errorf("alert after superseded spike: %v", a)
 	}
 	if m.Quality().Count(quality.DuplicateTimestamp) != 1 {
@@ -371,16 +385,16 @@ func TestIngestDuplicateHourKeepsLatest(t *testing.T) {
 // mutated monitor state (clean, duplicate-replacement) are exactly the
 // kept ones.
 func TestLedgerInvariantWithDirtyStream(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 3})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(4, record(0, 0.9))     // kept
-	m.Ingest(4, record(1, 0.9))     // kept
-	m.Ingest(4, record(1, 0.8))     // duplicate: kept-with-issue (replaces)
-	m.Ingest(4, record(0, -0.9))    // stale: quarantined
-	m.Ingest(4, nonFiniteRecord(2)) // non-finite: quarantined
-	m.Ingest(4, record(2, 0.7))     // kept
+	ingest(m, 4, record(0, 0.9))     // kept
+	ingest(m, 4, record(1, 0.9))     // kept
+	ingest(m, 4, record(1, 0.8))     // duplicate: kept-with-issue (replaces)
+	ingest(m, 4, record(0, -0.9))    // stale: quarantined
+	ingest(m, 4, nonFiniteRecord(2)) // non-finite: quarantined
+	ingest(m, 4, record(2, 0.7))     // kept
 	q := m.Quality()
 	if q.RowsRead != q.RowsKept()+q.RowsQuarantined+q.RowsDropped {
 		t.Fatalf("ledger invariant broken: read=%d kept=%d quarantined=%d dropped=%d",
@@ -402,11 +416,11 @@ func TestLedgerInvariantWithDirtyStream(t *testing.T) {
 }
 
 func TestForget(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(1, record(0, -0.9))
+	ingest(m, 1, record(0, -0.9))
 	if m.Tracked() != 1 {
 		t.Fatalf("Tracked = %d, want 1", m.Tracked())
 	}
@@ -424,7 +438,7 @@ func TestForget(t *testing.T) {
 	}
 	// A forgotten drive that reports again starts fresh: its first
 	// record may be any hour, and escalation restarts from Healthy.
-	if a := m.Ingest(1, record(0, 0.9)); a != nil {
+	if a := ingest(m, 1, record(0, 0.9)); a != nil {
 		t.Errorf("fresh record after Forget alerted: %v", a)
 	}
 	if q := m.Quality(); q.Count(quality.OutOfOrderTimestamp) != 0 {

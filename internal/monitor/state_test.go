@@ -66,18 +66,18 @@ func nonFiniteRecord(hour int) smart.Record {
 }
 
 func TestForgetReleasesQualityLedger(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Drive 1: one clean record, one duplicate, one stale, one non-finite.
-	m.Ingest(1, record(5, 0.9))
-	m.Ingest(1, record(5, 0.8))
-	m.Ingest(1, record(3, 0.7))
-	m.Ingest(1, nonFiniteRecord(6))
+	ingest(m, 1, record(5, 0.9))
+	ingest(m, 1, record(5, 0.8))
+	ingest(m, 1, record(3, 0.7))
+	ingest(m, 1, nonFiniteRecord(6))
 	// Drive 2 keeps its own dirt so Forget(1) must subtract only 1's share.
-	m.Ingest(2, record(0, 0.9))
-	m.Ingest(2, nonFiniteRecord(1))
+	ingest(m, 2, record(0, 0.9))
+	ingest(m, 2, nonFiniteRecord(1))
 
 	if got := m.Quality().RowsRead; got != 6 {
 		t.Fatalf("RowsRead = %d, want 6", got)
@@ -113,11 +113,11 @@ func TestForgetReleasesQualityLedger(t *testing.T) {
 }
 
 func TestForgetQuarantineOnlyDrive(t *testing.T) {
-	m, err := New(testModels(), testNormalizer(), Config{})
+	m, err := NewMulti(testModels(), hddNorms(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ingest(7, nonFiniteRecord(0))
+	ingest(m, 7, nonFiniteRecord(0))
 	if m.Tracked() != 0 {
 		t.Fatalf("quarantine-only drive counted as tracked")
 	}
@@ -135,16 +135,16 @@ func TestForgetQuarantineOnlyDrive(t *testing.T) {
 }
 
 func TestExportImportRoundTrip(t *testing.T) {
-	src, err := New(testModels(), testNormalizer(), Config{Smoothing: 3})
+	src, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Ingest(1, record(0, 0.9))
-	src.Ingest(1, record(1, 0.3))
-	src.Ingest(1, record(2, -0.2))
-	src.Ingest(1, record(2, -0.3)) // duplicate hour
-	src.Ingest(2, record(10, -0.9))
-	src.Ingest(3, nonFiniteRecord(0)) // quarantine-only drive
+	ingest(src, 1, record(0, 0.9))
+	ingest(src, 1, record(1, 0.3))
+	ingest(src, 1, record(2, -0.2))
+	ingest(src, 1, record(2, -0.3)) // duplicate hour
+	ingest(src, 2, record(10, -0.9))
+	ingest(src, 3, nonFiniteRecord(0)) // quarantine-only drive
 
 	exported := src.ExportDrives()
 	if len(exported) != 3 {
@@ -154,7 +154,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatal("quarantine-only drive exported as tracked")
 	}
 
-	dst, err := New(testModels(), testNormalizer(), Config{Smoothing: 3})
+	dst, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	// Behavior parity after restore: the same next record yields the
 	// same alert decision on both monitors.
-	a1 := src.Ingest(1, record(3, -0.8))
-	a2 := dst.Ingest(1, record(3, -0.8))
+	a1 := ingest(src, 1, record(3, -0.8))
+	a2 := ingest(dst, 1, record(3, -0.8))
 	if !reflect.DeepEqual(a1, a2) {
 		t.Fatalf("post-import alerts diverge: %v vs %v", a1, a2)
 	}
@@ -190,7 +190,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 func TestImportDriveRejectsCorruptState(t *testing.T) {
 	fresh := func() *Monitor {
-		m, err := New(testModels(), testNormalizer(), Config{Smoothing: 3})
+		m, err := NewMulti(testModels(), hddNorms(), Config{Smoothing: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 func FuzzRestore(f *testing.F) {
 	// Seed with real files so the fuzzer starts from the actual formats.
 	seedDir := f.TempDir()
-	store, err := fleet.New(testModels(), testNormalizer(), fleet.Config{Shards: 2})
+	store, err := fleet.New(testModels(), hddNorms(), fleet.Config{Shards: 2})
 	if err != nil {
 		f.Fatal(err)
 	}

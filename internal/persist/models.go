@@ -34,6 +34,13 @@ type ModelArtifact struct {
 	Notes []string
 }
 
+// Norms returns the artifact's normalizer as the HDD entry of
+// ClassNorms: retraining produces HDD model sets only, so a swap to an
+// artifact leaves every other class's models in place.
+func (a *ModelArtifact) Norms() monitor.ClassNorms {
+	return monitor.ClassNorms{HDD: a.Norm}
+}
+
 // modelEnvelope seals models.bin: magic "DSKMODL\x01", u32 version 1,
 // one header field — the model-set version, checked against the
 // payload's on load — and the gob-encoded *ModelArtifact. Artifacts are

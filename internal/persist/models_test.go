@@ -126,12 +126,12 @@ func TestSnapshotWithSwap(t *testing.T) {
 	defer mgr.Close()
 	store := testStore(t, fleet.Config{Shards: 4})
 	for h := 0; h < 5; h++ {
-		store.Ingest("SER-1", record(h, 0.9))
+		store.IngestBatch([]fleet.Observation{{Serial: "SER-1", Record: record(h, 0.9)}})
 	}
 	next := []fleet.Observation{{Serial: "SER-1", Record: record(5, 0.9)}}
 
 	if _, err := mgr.SnapshotWith(store, func() error {
-		return store.SwapModels(testModels(), testNormalizer(), 2)
+		return store.SwapModels(testModels(), hddNorms(), 2)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSnapshotWithSwap(t *testing.T) {
 	// A failing mutate aborts the snapshot: nothing newer is committed,
 	// and a restore still sees the promoted version from before.
 	if _, err := mgr.SnapshotWith(store, func() error {
-		return store.SwapModels(testModels(), testNormalizer(), 2) // refused: not newer
+		return store.SwapModels(testModels(), hddNorms(), 2) // refused: not newer
 	}); err == nil {
 		t.Fatal("SnapshotWith committed despite a failing mutate")
 	}

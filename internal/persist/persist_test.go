@@ -26,6 +26,9 @@ func (p scalePredictor) Predict(x []float64) float64 { return x[p.Attr] }
 
 func init() { gob.Register(scalePredictor{}) }
 
+// hddNorms serves the HDD test models.
+func hddNorms() monitor.ClassNorms { return monitor.ClassNorms{HDD: testNormalizer()} }
+
 func testNormalizer() *smart.Normalizer {
 	n := smart.NewNormalizer()
 	var lo, hi smart.Values
@@ -50,7 +53,7 @@ func testModels() []monitor.GroupModel {
 
 func testStore(t *testing.T, cfg fleet.Config) *fleet.Store {
 	t.Helper()
-	s, err := fleet.New(testModels(), testNormalizer(), cfg)
+	s, err := fleet.New(testModels(), hddNorms(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +452,7 @@ func TestOpenContinuesEpochAcrossRestart(t *testing.T) {
 
 func BenchmarkSnapshot(b *testing.B) {
 	dir := b.TempDir()
-	store, err := fleet.New(testModels(), testNormalizer(), fleet.Config{Shards: 16, Workers: 4})
+	store, err := fleet.New(testModels(), hddNorms(), fleet.Config{Shards: 16, Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -471,7 +474,7 @@ func BenchmarkSnapshot(b *testing.B) {
 
 func BenchmarkRestore(b *testing.B) {
 	dir := b.TempDir()
-	store, err := fleet.New(testModels(), testNormalizer(), fleet.Config{Shards: 16, Workers: 4})
+	store, err := fleet.New(testModels(), hddNorms(), fleet.Config{Shards: 16, Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

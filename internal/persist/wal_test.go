@@ -25,7 +25,7 @@ func testMixedStore(t testing.TB, cfg fleet.Config) *fleet.Store {
 	ssd := testModels()[0]
 	ssd.Class = smart.SSD
 	ssd.Group = 2
-	s, err := fleet.NewMulti(append(testModels(), ssd),
+	s, err := fleet.New(append(testModels(), ssd),
 		monitor.ClassNorms{HDD: testNormalizer(), SSD: testNormalizer()}, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func testStore(t testing.TB) *fleet.Store {
 		WindowD:   12,
 		Predictor: rampPredictor{},
 	}}
-	s, err := fleet.New(models, norm, fleet.Config{Shards: 2, Monitor: monitor.Config{Smoothing: 1}})
+	s, err := fleet.New(models, monitor.ClassNorms{HDD: norm}, fleet.Config{Shards: 2, Monitor: monitor.Config{Smoothing: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func persistStore(t *testing.T, cfg fleet.Config) *fleet.Store {
 		WindowD:   12,
 		Predictor: wirePredictor{Attr: int(smart.RRER)},
 	}}
-	s, err := fleet.New(models, norm, cfg)
+	s, err := fleet.New(models, monitor.ClassNorms{HDD: norm}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

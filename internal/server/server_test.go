@@ -43,7 +43,7 @@ func testStore(t testing.TB, cfg fleet.Config) *fleet.Store {
 		WindowD:   12,
 		Predictor: rampPredictor{},
 	}}
-	s, err := fleet.New(models, norm, cfg)
+	s, err := fleet.New(models, monitor.ClassNorms{HDD: norm}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
